@@ -22,36 +22,20 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
 from .dos import (DEFAULT_MC_SEED, QuadratureConfig, dos_asymptotic,
-                  dos_moment, dos_moment_exact, dos_value)
+                  dos_moment_exact, dos_value)
 from .errors import ConvergenceError, DomainError
 from .gap import GapParams, asymptotic_comparison, delta_asymptotic, gap_solve
-from .renorm import (EULER_GAMMA, a0_numeric, a1_constant, b1_constant,
-                     constants_report, fit_laurent, gap_ratio_expansion,
-                     j2_closed, mellin_difference, neel_asymptotic,
-                     richardson_extrapolate, sech_log2_integral)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command, numerics, and output routing."""
-
-    command: str
-    quadrature: QuadratureConfig
-    output_format: str = "csv"
-    output_path: str = None
-    seed: int = DEFAULT_MC_SEED
-    options: dict = field(default_factory=dict)
+from .renorm import (constants_report, gap_ratio_expansion, j2_closed,
+                     neel_asymptotic, regularized_limit)
 
 
 def _fmt(value):
     """One numeric cell: 12 significant digits, plain ints untouched."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".12g")
@@ -74,16 +58,16 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(payload, rows, run):
+def _emit(payload, rows, args):
     out = io.StringIO()
-    if run.output_format == "json":
+    if args.format == "json":
         json.dump(_jsonable(payload), out, indent=2)
         out.write("\n")
     else:
         _write_csv(rows, out)
     text = out.getvalue()
-    if run.output_path:
-        with open(run.output_path, "w", newline="") as handle:
+    if args.output:
+        with open(args.output, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -101,12 +85,12 @@ def _parse_positive_list(raw, what):
     return values
 
 
-def _solve_record(u, t, cfg):
-    solution = gap_solve(GapParams(u=u, t=t), cfg)
-    asym = t * delta_asymptotic(u / t)
-    return {
-        "u": u,
-        "t": t,
+def cmd_solve(args, cfg):
+    solution = gap_solve(GapParams(u=args.u, t=args.t), cfg)
+    asym = args.t * delta_asymptotic(args.u / args.t)
+    record = {
+        "u": args.u,
+        "t": args.t,
         "delta": solution.delta,
         "residual": solution.residual,
         "bracket_low": solution.bracket[0],
@@ -115,48 +99,29 @@ def _solve_record(u, t, cfg):
         "delta_asymptotic": asym,
         "rel_dev": abs(solution.delta / asym - 1.0),
     }
+    _emit(record, [record], args)
 
 
-def cmd_solve(run):
-    record = _solve_record(run.options["u"], run.options["t"], run.quadrature)
-    _emit(record, [record], run)
-
-
-def cmd_sweep(run):
-    u_min, u_max = run.options["u_min"], run.options["u_max"]
-    points = run.options["points"]
-    if points < 1:
+def cmd_sweep(args, cfg):
+    if args.points < 1:
         raise DomainError("points must be positive")
-    if not 0 < u_min <= u_max:
+    if not 0 < args.u_min <= args.u_max:
         raise DomainError("need 0 < u_min <= u_max")
-    if run.options["log_spacing"]:
-        grid = np.geomspace(u_min, u_max, points)
-    else:
-        grid = np.linspace(u_min, u_max, points)
-    rows = []
-    for u in grid:
-        comp = asymptotic_comparison(float(u), run.quadrature)
-        rows.append({
-            "u": comp.u,
-            "delta_numeric": comp.delta_numeric,
-            "delta_asymptotic": comp.delta_asymptotic,
-            "rel_dev": comp.rel_dev,
-            "bound_scale": comp.bound_scale,
-        })
-    _emit({"rows": rows}, rows, run)
+    spacing = np.geomspace if args.log_spacing else np.linspace
+    rows = [asdict(asymptotic_comparison(float(u), cfg))
+            for u in spacing(args.u_min, args.u_max, args.points)]
+    _emit({"rows": rows}, rows, args)
 
 
-def cmd_dos(run):
-    points = run.options["points"]
-    eps_min, eps_max = run.options["eps_min"], run.options["eps_max"]
-    if points < 1:
+def cmd_dos(args, cfg):
+    if args.points < 1:
         raise DomainError("points must be positive")
-    if not 0 < eps_min <= eps_max:
+    if not 0 < args.eps_min <= args.eps_max:
         raise DomainError("need 0 < eps_min <= eps_max")
     rows = []
-    for eps in np.linspace(eps_min, eps_max, points):
+    for eps in np.linspace(args.eps_min, args.eps_max, args.points):
         eps = float(eps)
-        n0 = dos_value(eps, run.quadrature)
+        n0 = dos_value(eps, cfg)
         if 0.0 < eps < 4.0:
             n0_asym = dos_asymptotic(eps)
             diff = abs(n0 - n0_asym)
@@ -171,11 +136,11 @@ def cmd_dos(run):
             "abs_diff": diff,
             "scaled_remainder": diff / scale if scale and scale > 0 else math.nan,
         })
-    _emit({"rows": rows}, rows, run)
+    _emit({"rows": rows}, rows, args)
 
 
-def cmd_constants(run):
-    report = constants_report(run.quadrature)
+def cmd_constants(args, cfg):
+    report = constants_report(cfg)
     record = {
         "a0_numeric": report.a0_numeric,
         "a0_exact": report.a0_exact,
@@ -184,62 +149,43 @@ def cmd_constants(run):
         "sech_integral": report.sech_integral,
         "gap_ratio_leading": report.gap_ratio_leading,
         "gap_ratio_slope": report.gap_ratio_slope,
-        "seed": run.seed,
+        "seed": args.seed,
     }
     payload = dict(record)
     payload["deviations"] = dict(report.deviations)
     flat = dict(record)
     for key, value in report.deviations.items():
         flat[f"deviation_{key}"] = value
-    _emit(payload, [flat], run)
+    _emit(payload, [flat], args)
 
 
-def cmd_regularize(run):
-    s_values = sorted(set(_parse_positive_list(run.options["s_values"], "s")),
+def cmd_regularize(args, cfg):
+    s_values = sorted(set(_parse_positive_list(args.s_values, "s")),
                       reverse=True)
-    rows = []
-    for s in s_values:
-        j1 = dos_moment(s, run.quadrature)
-        j2 = j2_closed(s)
-        rows.append({
-            "s": s,
-            "j1_numeric": j1,
-            "j1_exact": dos_moment_exact(s),
-            "j2_closed": j2,
-            "difference": mellin_difference(s, run.quadrature),
-        })
-    diffs = [row["difference"] for row in rows]
-    j1_fit = fit_laurent(s_values, [row["j1_numeric"] for row in rows])
-    diff_fit = fit_laurent(s_values, diffs)
+    limit = regularized_limit(s_values, cfg)
+    rows = [{"s": s, "j1_numeric": j1, "j1_exact": dos_moment_exact(s),
+             "j2_closed": j2_closed(s), "difference": difference}
+            for s, j1, difference in zip(s_values, limit.j1_values,
+                                         limit.difference_values)]
     payload = {
         "rows": rows,
-        "j1_fit": {"c_m2": j1_fit.c_m2, "c_m1": j1_fit.c_m1,
-                   "c_0": j1_fit.c_0, "fit_residual": j1_fit.fit_residual},
-        "difference_fit": {"c_m2": diff_fit.c_m2, "c_m1": diff_fit.c_m1,
-                           "c_0": diff_fit.c_0,
-                           "fit_residual": diff_fit.fit_residual},
-        "difference_extrapolated": richardson_extrapolate(s_values, diffs),
+        "j1_fit": asdict(limit.j1_fit),
+        "difference_fit": asdict(limit.difference_fit),
+        "difference_extrapolated": limit.difference_extrapolated,
     }
-    _emit(payload, rows, run)
+    _emit(payload, rows, args)
 
 
-def cmd_ratio(run):
-    u_values = _parse_positive_list(run.options["u_values"], "u")
-    cfg = run.quadrature
-    a0n = a0_numeric(cfg)
-    b1 = b1_constant(a0n)
-    a1 = a1_constant(a0n, sech_log2_integral(cfg))
-    leading = math.pi * math.exp(-EULER_GAMMA)
-    rows = []
-    for u in u_values:
-        rows.append({
-            "u": u,
-            "ratio_two_term": gap_ratio_expansion(u, a1, b1),
-            "ratio_from_asymptotics":
-                delta_asymptotic(u, b1) / neel_asymptotic(u, a1),
-            "leading": leading,
-        })
-    _emit({"rows": rows}, rows, run)
+def cmd_ratio(args, cfg):
+    u_values = _parse_positive_list(args.u_values, "u")
+    report = constants_report(cfg)
+    rows = [{"u": u,
+             "ratio_two_term": gap_ratio_expansion(u, report.a1, report.b1),
+             "ratio_from_asymptotics":
+                 delta_asymptotic(u, report.b1) / neel_asymptotic(u, report.a1),
+             "leading": report.gap_ratio_leading}
+            for u in u_values]
+    _emit({"rows": rows}, rows, args)
 
 
 _COMMANDS = {
@@ -260,10 +206,6 @@ def build_parser():
                         help="absolute quadrature tolerance (default 1e-13)")
     common.add_argument("--max-depth", type=int, default=200,
                         help="adaptive subdivision limit (default 200)")
-    common.add_argument("--mc-samples", type=int, default=200_000,
-                        help="Monte Carlo oracle sample count (default 200000)")
-    common.add_argument("--seed", type=int, default=DEFAULT_MC_SEED,
-                        help=f"Monte Carlo seed (default {DEFAULT_MC_SEED})")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
     common.add_argument("--output", default=None, metavar="PATH",
@@ -294,8 +236,10 @@ def build_parser():
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
 
-    sub.add_parser("constants", parents=[common],
-                   help="derived constants with deviation diagnostics")
+    p = sub.add_parser("constants", parents=[common],
+                       help="derived constants with deviation diagnostics")
+    p.add_argument("--seed", type=int, default=DEFAULT_MC_SEED,
+                   help=f"seed echoed in the output (default {DEFAULT_MC_SEED})")
 
     p = sub.add_parser("regularize", parents=[common],
                        help="moment pair table plus Laurent fits")
@@ -313,17 +257,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        quadrature = QuadratureConfig(rel_tol=args.rel_tol,
-                                      abs_tol=args.abs_tol,
-                                      max_depth=args.max_depth,
-                                      mc_samples=args.mc_samples)
-        options = {key: value for key, value in vars(args).items()
-                   if key not in ("command", "rel_tol", "abs_tol", "max_depth",
-                                  "mc_samples", "seed", "format", "output")}
-        run = RunConfig(command=args.command, quadrature=quadrature,
-                        output_format=args.format, output_path=args.output,
-                        seed=args.seed, options=options)
-        _COMMANDS[args.command](run)
+        cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
+                               max_depth=args.max_depth)
+        _COMMANDS[args.command](args, cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,10 +47,8 @@ from scipy.special import ellipkm1
 
 from .errors import ConvergenceError, DomainError
 from .quadrature import adaptive_quad
-from .specfun import gamma_ratio
+from .specfun import PI_SQUARED, TWO_PI_SQUARED, gamma_ratio
 
-PI_SQUARED = math.pi ** 2
-TWO_PI_SQUARED = 2.0 * PI_SQUARED
 BAND_EDGE = 4.0
 
 #: below this energy the two-term singular expansion replaces direct

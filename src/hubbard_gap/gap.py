@@ -35,10 +35,7 @@ from .dos import DEFAULT_CONFIG, dos_log_subtracted, dos_value_elliptic
 from .errors import ConvergenceError, DomainError
 from .quadrature import adaptive_quad
 from .renorm import a0_exact
-from .specfun import dilog
-
-PI_SQUARED = math.pi ** 2
-TWO_PI_SQUARED = 2.0 * PI_SQUARED
+from .specfun import PI_SQUARED, TWO_PI_SQUARED, dilog
 
 #: target on |1/u - rhs(Delta)| for every returned solution
 RESIDUAL_TOL = 1e-12

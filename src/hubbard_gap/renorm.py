@@ -31,12 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dos import (BAND_EDGE, DEFAULT_CONFIG, DELTA_SPLIT, TWO_PI_SQUARED,
-                  _moment_split_head, dos_log_subtracted, dos_moment)
+from .dos import (BAND_EDGE, DEFAULT_CONFIG, DELTA_SPLIT, _moment_split_head,
+                  dos_log_subtracted, dos_moment)
 from .errors import DomainError, FitDegeneracyError
 from .quadrature import adaptive_quad
-
-PI_SQUARED = math.pi ** 2
+from .specfun import PI_SQUARED, TWO_PI_SQUARED
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -144,11 +143,15 @@ class RegularizedLimit:
 
     ``difference_extrapolated`` is the Neville extrapolation of
     J1(s) - J2(s) to s = 0, i.e. the numerically regularized a0.
+    ``j1_values`` and ``difference_values`` are the samples of J1 and of
+    J1 - J2 on the grid the fits were made on, in grid order.
     """
 
     j1_fit: LaurentFit
     difference_fit: LaurentFit
     difference_extrapolated: float
+    j1_values: tuple
+    difference_values: tuple
 
 
 def _validated_grid(s_grid):
@@ -208,12 +211,14 @@ def regularized_limit(s_grid, cfg=DEFAULT_CONFIG):
     pins down more sharply than the fit.
     """
     s = _validated_grid(s_grid)
-    j1_vals = [dos_moment(v, cfg) for v in s]
-    diff_vals = [mellin_difference(v, cfg) for v in s]
+    j1_vals = tuple(dos_moment(v, cfg) for v in s.tolist())
+    diff_vals = tuple(mellin_difference(v, cfg) for v in s.tolist())
     return RegularizedLimit(
         j1_fit=fit_laurent(s, j1_vals),
         difference_fit=fit_laurent(s, diff_vals),
         difference_extrapolated=richardson_extrapolate(s, diff_vals),
+        j1_values=j1_vals,
+        difference_values=diff_vals,
     )
 
 

@@ -13,6 +13,7 @@ from .errors import DomainError
 from .quadrature import adaptive_quad
 
 PI_SQUARED = math.pi ** 2
+TWO_PI_SQUARED = 2.0 * PI_SQUARED
 
 _SERIES_MAX_TERMS = 200
 
