@@ -18,12 +18,16 @@ the test suite:
   are validated against.
 * ``dos_value`` -- adaptive quadrature of the one-dimensional level-set
   reduction.  Resolving the delta constraint in the k2 integration and
-  substituting cos k1 = -eps/4 + (1 - eps/4) sin t gives
+  substituting cos k1 = -eps/4 + (1 - eps/4) cos t gives
 
       N0(eps) = (1/pi^2) int_0^{pi/2}
-                [ (1 + eps/4)^2 - (1 - eps/4)^2 sin^2 t ]^(-1/2) dt,
+                [ (1 + eps/4)^2 - (1 - eps/4)^2 cos^2 t ]^(-1/2) dt
+              = (1/pi^2) int_0^{pi/2}
+                [ (1 + eps/4)^2 sin^2 t + eps cos^2 t ]^(-1/2) dt,
 
-  whose integrand is smooth for 0 < eps < 4.
+  whose integrand is smooth for 0 < eps < 4.  The second form uses
+  (1 + eps/4)^2 - (1 - eps/4)^2 = eps exactly, so nothing cancels as
+  eps -> 0, where the integrand peaks at t = 0 with width sqrt(eps).
 * ``dos_value_elliptic`` -- the same reduction in closed form,
   N0(eps) = K(m) / (pi^2 (1 + eps/4)) with elliptic parameter
   m = ((4 - eps)/(4 + eps))^2, evaluated through ``ellipkm1`` so that the
@@ -98,7 +102,9 @@ def dos_value(epsilon, cfg=DEFAULT_CONFIG):
     """Density of states at ``epsilon`` via the 1D level-set reduction.
 
     Exactly zero outside the open band |eps| < 4; raises at the eps = 0
-    singularity.  Accuracy follows the tolerances in ``cfg``.
+    singularity.  Accuracy follows the tolerances in ``cfg``; below
+    eps ~ 1e-120 the integrand's peak is too narrow for the quadrature,
+    which then raises ConvergenceError.
     """
     e = abs(float(epsilon))
     if e == 0.0:
@@ -106,11 +112,10 @@ def dos_value(epsilon, cfg=DEFAULT_CONFIG):
     if e >= BAND_EDGE:
         return 0.0
     a = 1.0 + 0.25 * e
-    b = 1.0 - 0.25 * e
+    root_e = math.sqrt(e)
 
     def integrand(t):
-        bs = b * math.sin(t)
-        return 1.0 / math.sqrt(a * a - bs * bs)
+        return 1.0 / math.hypot(a * math.sin(t), root_e * math.cos(t))
 
     val = adaptive_quad(integrand, 0.0, 0.5 * math.pi,
                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,

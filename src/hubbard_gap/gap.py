@@ -45,7 +45,7 @@ _BRACKET_EXPANSIONS = 200
 
 @dataclass(frozen=True)
 class GapParams:
-    """Physical inputs: on-site coupling u and hopping t, both positive."""
+    """Physical inputs: on-site coupling u and hopping t, both positive and finite."""
 
     u: float
     t: float = 1.0
@@ -55,6 +55,9 @@ class GapParams:
             raise DomainError("coupling must be positive")
         if not self.t > 0:
             raise DomainError("hopping must be positive")
+        if not (math.isfinite(self.u) and math.isfinite(self.t)):
+            raise DomainError(f"coupling must be positive and finite, "
+                              f"got u = {self.u}, t = {self.t}")
 
 
 @dataclass(frozen=True)

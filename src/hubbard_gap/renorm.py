@@ -211,8 +211,9 @@ def regularized_limit(s_grid, cfg=DEFAULT_CONFIG):
     pins down more sharply than the fit.
     """
     s = _validated_grid(s_grid)
-    j1_vals = tuple(dos_moment(v, cfg) for v in s.tolist())
-    diff_vals = tuple(mellin_difference(v, cfg) for v in s.tolist())
+    grid = s.tolist()
+    j1_vals = tuple(dos_moment(v, cfg) for v in grid)
+    diff_vals = tuple(mellin_difference(v, cfg) for v in grid)
     return RegularizedLimit(
         j1_fit=fit_laurent(s, j1_vals),
         difference_fit=fit_laurent(s, diff_vals),

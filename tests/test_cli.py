@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -6,6 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from hubbard_gap import (constants_report, delta_asymptotic,
+                         gap_ratio_expansion, neel_asymptotic,
+                         regularized_limit)
 from hubbard_gap.cli import main
 
 
@@ -51,6 +55,13 @@ class TestSolve:
     def test_negative_coupling_exits_2(self, capsys):
         code, _, err = run_cli(["solve", "--u", "-1"], capsys)
         assert code == 2
+        assert "coupling must be positive" in err
+
+    @pytest.mark.parametrize("args", [["--u", "inf"], ["--u", "1", "--t", "inf"]])
+    def test_non_finite_input_exits_2(self, args, capsys):
+        code, out, err = run_cli(["solve", *args], capsys)
+        assert code == 2
+        assert out == ""
         assert "coupling must be positive" in err
 
 
@@ -113,6 +124,13 @@ class TestDos:
                               "--eps-max", "2"], capsys)
         assert code == 2
 
+    def test_tiny_epsilon_fails_with_named_error(self, capsys):
+        code, _, err = run_cli(["dos", "--points", "3", "--eps-min", "1e-300",
+                                "--eps-max", "1"], capsys)
+        assert code in (2, 3)
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestConstants:
     def test_json_payload(self, capsys):
@@ -132,6 +150,12 @@ class TestConstants:
         rows = parse_csv(out)
         assert len(rows) == 1
         assert "deviation_b1_magnitude" in rows[0]
+
+    def test_seed_echoed(self, capsys):
+        code, out, _ = run_cli(["constants", "--format", "json", "--seed", "5"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["seed"] == 5
 
 
 class TestRegularize:
@@ -153,6 +177,20 @@ class TestRegularize:
         rows = parse_csv(out)
         assert float(rows[0]["j1_exact"]) == pytest.approx(0.5, abs=1e-12)
 
+    def test_payload_is_regularized_limit(self, capsys):
+        code, out, _ = run_cli(["regularize", "--s-values",
+                                "0.05,0.4,0.1,0.2,0.025", "--format", "json"],
+                               capsys)
+        assert code == 0
+        payload = json.loads(out)
+        limit = regularized_limit([0.4, 0.2, 0.1, 0.05, 0.025])
+        assert payload["j1_fit"] == dataclasses.asdict(limit.j1_fit)
+        assert payload["difference_fit"] == dataclasses.asdict(limit.difference_fit)
+        assert payload["difference_extrapolated"] == limit.difference_extrapolated
+        assert [row["j1_numeric"] for row in payload["rows"]] == list(limit.j1_values)
+        assert ([row["difference"] for row in payload["rows"]]
+                == list(limit.difference_values))
+
     def test_nonpositive_s_exits_2(self, capsys):
         code, _, err = run_cli(["regularize", "--s-values", "0.4,0.2,-0.1,0.05"],
                                capsys)
@@ -172,6 +210,20 @@ class TestRatio:
             assert float(row["ratio_two_term"]) == pytest.approx(
                 float(row["ratio_from_asymptotics"]),
                 abs=1e-3 * float(row["u"]))
+
+    def test_rows_use_constants_report(self, capsys):
+        code, out, _ = run_cli(["ratio", "--u-values", "0.1,0.01",
+                                "--format", "json"], capsys)
+        assert code == 0
+        report = constants_report()
+        for row, u in zip(json.loads(out)["rows"], [0.1, 0.01]):
+            assert row == {
+                "u": u,
+                "ratio_two_term": gap_ratio_expansion(u, report.a1, report.b1),
+                "ratio_from_asymptotics": (delta_asymptotic(u, report.b1)
+                                           / neel_asymptotic(u, report.a1)),
+                "leading": report.gap_ratio_leading,
+            }
 
     def test_two_term_spot(self, capsys):
         _, out, _ = run_cli(["ratio", "--u-values", "0.04"], capsys)
@@ -203,6 +255,13 @@ class TestOutputContract:
         delta_cell = parse_csv(out)[0]["delta"]
         assert delta_cell == format(float(delta_cell), ".12g")
         assert len(delta_cell.lstrip("0.")) >= 11
+
+    @pytest.mark.parametrize("argv", [["solve", "--u", "1", "--seed", "1"],
+                                      ["constants", "--mc-samples", "10"]])
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_nonconvergence_exits_3(self, capsys):
         # one Gauss-Kronrod panel cannot meet a 1e-14 tolerance here

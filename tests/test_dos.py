@@ -72,6 +72,13 @@ class TestDosValue:
         assert dos_value(eps, CFG) == pytest.approx(
             dos_value_elliptic(eps), rel=1e-11)
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-40])
+    def test_small_eps_matches_elliptic(self, eps):
+        # the difference form a^2 - b^2 sin^2 t cancels here: 2.3e-10 off at
+        # 1e-8, no convergence at 1e-12
+        assert dos_value(eps, CFG) == pytest.approx(
+            dos_value_elliptic(eps), rel=1e-12)
+
     def test_band_edge_value(self):
         # the band-edge step keeps the finite limit 1/(4 pi) just inside
         assert dos_value_elliptic(4.0 - 1e-12) == pytest.approx(
