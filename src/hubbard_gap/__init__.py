@@ -3,24 +3,23 @@ Hubbard model: density of states, gap-equation solver, exact constants,
 and the moment regularization tying them together.
 """
 
-from .dos import (DEFAULT_CONFIG, DEFAULT_MC_SEED, DosPoint,
-                  QuadratureConfig, dos_asymptotic, dos_moment,
-                  dos_moment_exact, dos_pushforward_oracle, dos_value,
+from .dos import (DEFAULT_CONFIG, DEFAULT_MC_SEED, QuadratureConfig,
+                  dos_asymptotic, dos_moment, dos_moment_exact, dos_value,
                   dos_value_elliptic)
 from .errors import ConvergenceError, DomainError, FitDegeneracyError
 from .gap import (AsymptoticComparison, GapParams, GapSolution,
                   asymptotic_comparison, delta_asymptotic, gap_rhs,
-                  gap_solve, i1_closed, i1_quadrature, i1_small_delta,
-                  i2_numeric)
-from .renorm import (ConstantsReport, EULER_GAMMA, LaurentFit, MellinPair,
+                  gap_solve, i1_closed, i1_small_delta, i2_numeric)
+from .oracles import (cosine_power_quadrature, dos_pushforward_oracle,
+                      dos_value_quadrature, gap_rhs_sinh, i1_quadrature,
+                      j2_quadrature, sech_log2_integral_direct)
+from .renorm import (ConstantsReport, EULER_GAMMA, LaurentFit,
                      RegularizedLimit, a0_exact, a0_numeric, a1_constant,
                      a1_minus_b1, b1_constant, constants_report,
                      fit_laurent, gap_ratio_expansion, j2_closed,
-                     j2_quadrature, mellin_difference, mellin_pair,
-                     neel_asymptotic, regularized_limit,
+                     mellin_difference, neel_asymptotic, regularized_limit,
                      richardson_extrapolate, sech_log2_integral)
-from .specfun import (arctanh, cosine_power_integral,
-                      cosine_power_quadrature, dilog,
-                      dilog_inversion_residual, gamma_ratio)
+from .specfun import (cosine_power_integral, dilog, dilog_inversion_residual,
+                      gamma_ratio)
 
 __version__ = "0.1.0"

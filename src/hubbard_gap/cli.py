@@ -85,6 +85,17 @@ def _parse_positive_list(raw, what):
     return values
 
 
+def _grid(args, lo, hi, name, spacing=np.linspace):
+    """The ``args.points`` grid on [lo, hi], validated before numpy sees it."""
+    if args.points < 1:
+        raise DomainError("points must be positive")
+    if not 0 < lo <= hi:
+        raise DomainError(f"need 0 < {name}_min <= {name}_max")
+    if hi == math.inf:
+        raise DomainError(f"{name}_max must be finite")
+    return [float(v) for v in spacing(lo, hi, args.points)]
+
+
 def cmd_solve(args, cfg):
     solution = gap_solve(GapParams(u=args.u, t=args.t), cfg)
     asym = args.t * delta_asymptotic(args.u / args.t)
@@ -103,25 +114,16 @@ def cmd_solve(args, cfg):
 
 
 def cmd_sweep(args, cfg):
-    if args.points < 1:
-        raise DomainError("points must be positive")
-    if not 0 < args.u_min <= args.u_max:
-        raise DomainError("need 0 < u_min <= u_max")
     spacing = np.geomspace if args.log_spacing else np.linspace
-    rows = [asdict(asymptotic_comparison(float(u), cfg))
-            for u in spacing(args.u_min, args.u_max, args.points)]
+    rows = [asdict(asymptotic_comparison(u, cfg))
+            for u in _grid(args, args.u_min, args.u_max, "u", spacing)]
     _emit({"rows": rows}, rows, args)
 
 
-def cmd_dos(args, cfg):
-    if args.points < 1:
-        raise DomainError("points must be positive")
-    if not 0 < args.eps_min <= args.eps_max:
-        raise DomainError("need 0 < eps_min <= eps_max")
+def cmd_dos(args):
     rows = []
-    for eps in np.linspace(args.eps_min, args.eps_max, args.points):
-        eps = float(eps)
-        n0 = dos_value(eps, cfg)
+    for eps in _grid(args, args.eps_min, args.eps_max, "eps"):
+        n0 = dos_value(eps)
         if 0.0 < eps < 4.0:
             n0_asym = dos_asymptotic(eps)
             diff = abs(n0 - n0_asym)
@@ -188,27 +190,18 @@ def cmd_ratio(args, cfg):
     _emit({"rows": rows}, rows, args)
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "dos": cmd_dos,
-    "constants": cmd_constants,
-    "regularize": cmd_regularize,
-    "ratio": cmd_ratio,
-}
-
-
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rel-tol", type=float, default=1e-10,
-                        help="relative quadrature tolerance (default 1e-10)")
-    common.add_argument("--abs-tol", type=float, default=1e-13,
-                        help="absolute quadrature tolerance (default 1e-13)")
-    common.add_argument("--max-depth", type=int, default=200,
-                        help="adaptive subdivision limit (default 200)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--rel-tol", type=float, default=1e-10,
+                            help="relative quadrature tolerance (default 1e-10)")
+    tolerances.add_argument("--abs-tol", type=float, default=1e-13,
+                            help="absolute quadrature tolerance (default 1e-13)")
+    tolerances.add_argument("--max-depth", type=int, default=200,
+                            help="adaptive subdivision limit (default 200)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
-    common.add_argument("--output", default=None, metavar="PATH",
+    output.add_argument("--output", default=None, metavar="PATH",
                         help="write to PATH instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -217,39 +210,44 @@ def build_parser():
                     "Hubbard model: solver, constants, and validation tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[tolerances, output],
                        help="solve the gap equation at one (u, t)")
     p.add_argument("--u", type=float, required=True, help="on-site coupling")
     p.add_argument("--t", type=float, default=1.0, help="hopping (default 1)")
+    p.set_defaults(run=cmd_solve)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[tolerances, output],
                        help="gap vs asymptotic form over a coupling grid")
     p.add_argument("--u-min", type=float, required=True)
     p.add_argument("--u-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--log-spacing", action="store_true",
                    help="geometric instead of linear grid")
+    p.set_defaults(run=cmd_sweep)
 
-    p = sub.add_parser("dos", parents=[common],
+    p = sub.add_parser("dos", parents=[output],
                        help="density-of-states table with the singular expansion")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
 
-    p = sub.add_parser("constants", parents=[common],
+    p = sub.add_parser("constants", parents=[tolerances, output],
                        help="derived constants with deviation diagnostics")
     p.add_argument("--seed", type=int, default=DEFAULT_MC_SEED,
                    help=f"seed echoed in the output (default {DEFAULT_MC_SEED})")
+    p.set_defaults(run=cmd_constants)
 
-    p = sub.add_parser("regularize", parents=[common],
+    p = sub.add_parser("regularize", parents=[tolerances, output],
                        help="moment pair table plus Laurent fits")
     p.add_argument("--s-values", required=True,
                    help="comma-separated positive s grid (at least 4 values)")
+    p.set_defaults(run=cmd_regularize)
 
-    p = sub.add_parser("ratio", parents=[common],
+    p = sub.add_parser("ratio", parents=[tolerances, output],
                        help="gap ratio expansion table")
     p.add_argument("--u-values", required=True,
                    help="comma-separated positive couplings")
+    p.set_defaults(run=cmd_ratio)
 
     return parser
 
@@ -257,13 +255,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                               max_depth=args.max_depth)
-        _COMMANDS[args.command](args, cfg)
+        if args.command == "dos":  # the one command that integrates nothing
+            cmd_dos(args)
+        else:
+            args.run(args, QuadratureConfig(rel_tol=args.rel_tol,
+                                            abs_tol=args.abs_tol,
+                                            max_depth=args.max_depth))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

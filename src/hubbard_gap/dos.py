@@ -9,47 +9,30 @@ band edges, and has a logarithmic van Hove singularity at eps = 0:
     N0(eps) = ln(16/eps)/(2 pi^2)
               + eps^2 (ln(16/eps) - 1)/(128 pi^2) + O(eps^4 ln(1/eps)).
 
-Three mutually independent evaluations are provided and cross-checked by
-the test suite:
-
-* ``dos_pushforward_oracle`` -- the defining two-dimensional integral,
-  evaluated by nested adaptive quadrature and guarded by an independent
-  Monte Carlo estimate.  This is the ground truth the pointwise formulas
-  are validated against.
-* ``dos_value`` -- adaptive quadrature of the one-dimensional level-set
-  reduction.  Resolving the delta constraint in the k2 integration and
-  substituting cos k1 = -eps/4 + (1 - eps/4) cos t gives
-
-      N0(eps) = (1/pi^2) int_0^{pi/2}
-                [ (1 + eps/4)^2 - (1 - eps/4)^2 cos^2 t ]^(-1/2) dt
-              = (1/pi^2) int_0^{pi/2}
-                [ (1 + eps/4)^2 sin^2 t + eps cos^2 t ]^(-1/2) dt,
-
-  whose integrand is smooth for 0 < eps < 4.  The second form uses
-  (1 + eps/4)^2 - (1 - eps/4)^2 = eps exactly, so nothing cancels as
-  eps -> 0, where the integrand peaks at t = 0 with width sqrt(eps).
-* ``dos_value_elliptic`` -- the same reduction in closed form,
-  N0(eps) = K(m) / (pi^2 (1 + eps/4)) with elliptic parameter
-  m = ((4 - eps)/(4 + eps))^2, evaluated through ``ellipkm1`` so that the
-  m -> 1 regime (eps -> 0) keeps full precision.  Once validated against
-  the oracle it serves as the fast path inside moment and gap integrands.
+The production route (``dos_value``; integrands call
+``dos_value_elliptic``) is the level-set reduction of the Brillouin-zone
+integral in closed form, N0(eps) = K(m) / (pi^2 (1 + eps/4)) with
+elliptic parameter m = ((4 - eps)/(4 + eps))^2, evaluated through
+``ellipkm1`` so that the m -> 1 regime (eps -> 0) keeps full precision.
+Two independent reference routes live in ``hubbard_gap.oracles``: the
+level-set reduction by adaptive quadrature (``dos_value_quadrature``)
+and the defining two-dimensional integral with a Monte Carlo guard
+(``dos_pushforward_oracle``); the test suite holds all three together.
 
 Moments of eps^(s-1) against N0 on [0, 4] come both numerically
 (``dos_moment``, with the singular neighbourhood of eps = 0 integrated in
 closed form from the expansion above) and exactly (``dos_moment_exact``,
 a squared Gamma ratio).
 
-All functions are pure; Monte Carlo uses an explicit seed, so results are
-deterministic for a fixed configuration.
+All functions are pure.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import ellipkm1
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import adaptive_quad
 from .specfun import PI_SQUARED, TWO_PI_SQUARED, gamma_ratio
 
@@ -84,50 +67,13 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class DosPoint:
-    """A single (energy, density) sample of the band density of states."""
-
-    epsilon: float
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise DomainError("density of states is non-negative")
-        if abs(self.epsilon) > BAND_EDGE and self.value != 0.0:
-            raise DomainError("density of states vanishes outside the band")
-
-
-def dos_value(epsilon, cfg=DEFAULT_CONFIG):
-    """Density of states at ``epsilon`` via the 1D level-set reduction.
+def dos_value_elliptic(epsilon):
+    """Density of states at ``epsilon`` from the closed elliptic form.
 
     Exactly zero outside the open band |eps| < 4; raises at the eps = 0
-    singularity.  Accuracy follows the tolerances in ``cfg``; below
-    eps ~ 1e-120 the integrand's peak is too narrow for the quadrature,
-    which then raises ConvergenceError.
-    """
-    e = abs(float(epsilon))
-    if e == 0.0:
-        raise DomainError("density of states diverges logarithmically at eps = 0")
-    if e >= BAND_EDGE:
-        return 0.0
-    a = 1.0 + 0.25 * e
-    root_e = math.sqrt(e)
-
-    def integrand(t):
-        return 1.0 / math.hypot(a * math.sin(t), root_e * math.cos(t))
-
-    val = adaptive_quad(integrand, 0.0, 0.5 * math.pi,
-                        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                        limit=cfg.max_depth, name="level-set DOS reduction")
-    return val / PI_SQUARED
-
-
-def dos_value_elliptic(epsilon):
-    """Closed elliptic form of the level-set reduction (fast path).
-
-    ``ellipkm1`` takes the complement 1 - m = 16 eps / (4 + eps)^2, which is
-    exact arithmetic, so no precision is lost as eps -> 0.
+    singularity.  ``ellipkm1`` takes the complement
+    1 - m = 16 eps / (4 + eps)^2, which is exact arithmetic, so no
+    precision is lost as eps -> 0.
     """
     e = abs(float(epsilon))
     if e == 0.0:
@@ -135,6 +81,13 @@ def dos_value_elliptic(epsilon):
     if e >= BAND_EDGE:
         return 0.0
     return float(ellipkm1(16.0 * e / (4.0 + e) ** 2)) / (PI_SQUARED * (1.0 + 0.25 * e))
+
+
+# kept apart from dos_value_elliptic: benchmarks/tracer.py times this name
+# as the per-point DOS layer and dos_value_elliptic as the integrand leaf
+def dos_value(epsilon):
+    """Density of states N0 at ``epsilon``, by the elliptic closed form."""
+    return dos_value_elliptic(epsilon)
 
 
 def dos_asymptotic(epsilon):
@@ -161,58 +114,6 @@ def dos_log_subtracted(epsilon):
     if e < DELTA_SPLIT:
         return e * e * (math.log(16.0 / e) - 1.0) / (128.0 * PI_SQUARED)
     return dos_value_elliptic(e) - math.log(16.0 / e) / TWO_PI_SQUARED
-
-
-def _mc_values(g, eps):
-    """Apply a scalar-or-vectorised test function to sampled energies."""
-    try:
-        arr = np.asarray(g(eps), dtype=float)
-        if arr.shape == eps.shape:
-            return arr
-        if arr.shape == ():
-            return np.full(eps.shape, float(arr))
-    except Exception:
-        pass
-    return np.fromiter((g(float(e)) for e in eps), dtype=float, count=eps.size)
-
-
-def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG, seed=DEFAULT_MC_SEED):
-    """Ground-truth functional int g(eps) N0(eps) d(eps).
-
-    Evaluates the defining Brillouin-zone double integral
-
-        (2 pi)^-2 int int g(-2 (cos k1 + cos k2)) dk1 dk2
-
-    by nested adaptive quadrature (restricted to [0, pi]^2 by the k -> -k
-    symmetry) and cross-checks it against a plain Monte Carlo estimate on
-    the full zone.  Raises ConvergenceError when the two estimates
-    disagree beyond their combined error bars; otherwise returns the
-    quadrature value.  Deterministic for fixed cfg and seed.
-    """
-
-    def inner(k1):
-        c1 = math.cos(k1)
-        return adaptive_quad(lambda k2: g(-2.0 * (c1 + math.cos(k2))),
-                             0.0, math.pi,
-                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                             limit=cfg.max_depth, name="pushforward oracle (inner)")
-
-    quad_val = adaptive_quad(inner, 0.0, math.pi,
-                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                             limit=cfg.max_depth,
-                             name="pushforward oracle (outer)") / PI_SQUARED
-
-    rng = np.random.default_rng(seed)
-    k = rng.uniform(-math.pi, math.pi, size=(cfg.mc_samples, 2))
-    vals = _mc_values(g, -2.0 * (np.cos(k[:, 0]) + np.cos(k[:, 1])))
-    mc_mean = float(vals.mean())
-    mc_err = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    guard = 6.0 * mc_err + 1e-6 * (1.0 + abs(quad_val))
-    if abs(quad_val - mc_mean) > guard:
-        raise ConvergenceError(
-            "pushforward oracle: quadrature and Monte Carlo disagree "
-            f"({quad_val:.9g} vs {mc_mean:.9g} +- {mc_err:.2g})")
-    return quad_val
 
 
 def _moment_split_head(s, include_log_part):

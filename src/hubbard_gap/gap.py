@@ -18,9 +18,11 @@ right side into
 where I1 carries the log singularity against the square-root kernel and
 has an exact dilogarithm closed form, while I2 is a doubly subtracted
 remainder, regular at eps = 0 and vanishing like Delta^2 (ln Delta)^2.
-A hyperbolic substitution of the unsplit integral provides an independent
-evaluation path, and the raw Brillouin-zone double integral (through the
-pushforward oracle) a third; the test suite holds all three together.
+That split is the one production route, ``gap_rhs``.  Two independent
+reference routes live in ``hubbard_gap.oracles``: a hyperbolic
+substitution of the unsplit integral (``gap_rhs_sinh``) and the raw
+Brillouin-zone double integral (``dos_pushforward_oracle``); the test
+suite holds all three together.
 
 For small coupling, Delta(u) approaches 32 exp(-2 pi / sqrt(u)) with a
 relative error of order exp(-4 pi / sqrt(u)) / sqrt(u).
@@ -31,13 +33,15 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .dos import DEFAULT_CONFIG, dos_log_subtracted, dos_value_elliptic
+from .dos import DEFAULT_CONFIG, dos_log_subtracted
 from .errors import ConvergenceError, DomainError
 from .quadrature import adaptive_quad
 from .renorm import a0_exact
-from .specfun import PI_SQUARED, TWO_PI_SQUARED, dilog
+from .specfun import PI_SQUARED, dilog
 
-#: target on |1/u - rhs(Delta)| for every returned solution
+#: target on |1/u - rhs(Delta)| and on u |1/u - rhs(Delta)| for every
+#: returned solution; at strong coupling 1/u is so small that the first
+#: alone passes gaps far from the root
 RESIDUAL_TOL = 1e-12
 
 _BRACKET_EXPANSIONS = 200
@@ -112,30 +116,6 @@ def i1_closed(delta):
     return bracket / (24.0 * PI_SQUARED)
 
 
-def i1_quadrature(delta, cfg=DEFAULT_CONFIG):
-    """Direct-quadrature oracle for I1, independent of the dilogarithm.
-
-    Substituting eps = Delta sinh(v) gives
-    (2 pi^2)^-1 int_0^V [ln(16/Delta) - ln(sinh v)] dv with
-    V = asinh(4/Delta); writing int_0^V ln(sinh v) dv = V ln V - V +
-    int_0^V ln(sinh(v)/v) dv leaves only smooth integrands.
-    """
-    if not delta > 0:
-        raise DomainError("gap must be positive")
-    v_max = math.asinh(4.0 / delta)
-
-    def smooth(v):
-        if v < 1e-8:
-            return v * v / 6.0
-        return math.log(math.sinh(v) / v)
-
-    smooth_part = adaptive_quad(smooth, 0.0, v_max,
-                                rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                                limit=cfg.max_depth, name="log-kernel integral")
-    log_sinh_integral = v_max * math.log(v_max) - v_max + smooth_part
-    return (math.log(16.0 / delta) * v_max - log_sinh_integral) / TWO_PI_SQUARED
-
-
 def i1_small_delta(delta):
     """Small-gap form (6 ln^2 Delta - 60 ln 2 ln Delta + pi^2 + 126 ln^2 2)/(24 pi^2).
 
@@ -175,27 +155,16 @@ def i2_numeric(delta, cfg=DEFAULT_CONFIG):
                          limit=cfg.max_depth, name="subtracted gap remainder")
 
 
-def gap_rhs(delta, cfg=DEFAULT_CONFIG, method="split"):
+def gap_rhs(delta, cfg=DEFAULT_CONFIG):
     """Right-hand side of the gap equation at unit hopping.
 
-    ``method="split"`` (default) assembles a0 + I1 closed form + I2 and is
-    the most accurate route at small gaps, where the numerically
-    integrated piece is itself O(Delta^2 ln^2 Delta).  ``method="sinh"``
-    integrates N0(Delta sinh v) dv directly over [0, asinh(4/Delta)]; the
-    two must agree and the tests also pin both against the raw
-    Brillouin-zone double integral.
+    Assembles a0 + I1 closed form + I2, which stays accurate at small
+    gaps, where the numerically integrated piece is itself
+    O(Delta^2 ln^2 Delta).
     """
     if not delta > 0:
         raise DomainError("gap must be positive")
-    if method == "split":
-        return a0_exact() + i1_closed(delta) + i2_numeric(delta, cfg)
-    if method == "sinh":
-        v_max = math.asinh(4.0 / delta)
-        return adaptive_quad(lambda v: dos_value_elliptic(delta * math.sinh(v)),
-                             0.0, v_max,
-                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                             limit=cfg.max_depth, name="gap equation (sinh path)")
-    raise DomainError(f"unknown gap_rhs method {method!r}")
+    return a0_exact() + i1_closed(delta) + i2_numeric(delta, cfg)
 
 
 def delta_asymptotic(u, b1=0.0):
@@ -245,9 +214,11 @@ def gap_solve(params, cfg=DEFAULT_CONFIG):
 
     root = brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16)
     residual = abs(f(root)) / params.t
-    if residual >= RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"gap residual {residual:.3e} above {RESIDUAL_TOL} at u/t = {u_eff}")
+    for label, value in (("gap residual", residual),
+                         ("relative gap residual", residual * params.u)):
+        if value >= RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"{label} {value:.3e} above {RESIDUAL_TOL} at u/t = {u_eff}")
     return GapSolution(delta=params.t * root,
                        residual=residual,
                        bracket=(params.t * lo, params.t * hi),

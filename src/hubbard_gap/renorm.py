@@ -80,19 +80,6 @@ def j2_closed(s):
     return 4.0 ** s * (1.0 + 2.0 * s * math.log(2.0)) / (TWO_PI_SQUARED * s * s)
 
 
-def j2_quadrature(s, cfg=DEFAULT_CONFIG):
-    """Direct-quadrature companion of :func:`j2_closed`."""
-    if not s > 0:
-        raise DomainError(f"moment order must be positive, got {s}")
-    d = DELTA_SPLIT
-    head = d ** s * (math.log(16.0 / d) / s + 1.0 / (s * s)) / TWO_PI_SQUARED
-    tail = adaptive_quad(
-        lambda e: e ** (s - 1.0) * math.log(16.0 / e) / TWO_PI_SQUARED,
-        d, BAND_EDGE, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        limit=cfg.max_depth, name="log moment")
-    return head + tail
-
-
 def mellin_difference(s, cfg=DEFAULT_CONFIG):
     """J1(s) - J2(s) through the subtracted integrand.
 
@@ -107,24 +94,6 @@ def mellin_difference(s, cfg=DEFAULT_CONFIG):
                          rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                          limit=cfg.max_depth, name="subtracted moment")
     return _moment_split_head(s, include_log_part=False) + tail
-
-
-@dataclass(frozen=True)
-class MellinPair:
-    """One sample (s, J1(s), J2(s)) of the regularized moment pair."""
-
-    s: float
-    j1: float
-    j2: float
-
-    def __post_init__(self):
-        if not (self.j1 > 0 and self.j2 > 0):
-            raise DomainError("moment values must be positive")
-
-
-def mellin_pair(s, cfg=DEFAULT_CONFIG):
-    """Evaluate (s, J1(s), J2(s)) with J1 numeric and J2 in closed form."""
-    return MellinPair(s=s, j1=dos_moment(s, cfg), j2=j2_closed(s))
 
 
 @dataclass(frozen=True)
@@ -223,38 +192,24 @@ def regularized_limit(s_grid, cfg=DEFAULT_CONFIG):
     )
 
 
-def sech_log2_integral(cfg=DEFAULT_CONFIG, method="log-substitution"):
+def sech_log2_integral(cfg=DEFAULT_CONFIG):
     """int_0^inf (ln x)^2 / cosh^2(x) dx = 1.98934975753569...
 
-    ``method="log-substitution"`` maps (0, 1] through x = e^(-v), turning
-    the integrable (ln x)^2 endpoint singularity into a smooth decaying
-    integrand; ``method="direct"`` leaves the singular endpoint to the
-    quadrature routine on a slightly different split, providing an
-    independent parameterization for consistency tests.  Both truncate the
-    exponentially small tail (below 1e-15 past SECH_CUTOFF).
+    Maps (0, 1] through x = e^(-v), turning the integrable (ln x)^2
+    endpoint singularity into a smooth decaying integrand, and truncates
+    the exponentially small tail (below 1e-15 past SECH_CUTOFF).  The
+    reference route without the substitution is
+    ``hubbard_gap.oracles.sech_log2_integral_direct``.
     """
-    if method == "log-substitution":
-        head = adaptive_quad(
-            lambda v: v * v * math.exp(-v) / math.cosh(math.exp(-v)) ** 2,
-            0.0, 50.0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            limit=cfg.max_depth, name="sech^2 log^2 integral (substituted head)")
-        tail = adaptive_quad(
-            lambda x: math.log(x) ** 2 / math.cosh(x) ** 2,
-            1.0, SECH_CUTOFF, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            limit=cfg.max_depth, name="sech^2 log^2 integral (tail)")
-        return head + tail
-    if method == "direct":
-        f = lambda x: math.log(x) ** 2 / math.cosh(x) ** 2
-        head = adaptive_quad(f, 0.0, 2.0,
-                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                             limit=cfg.max_depth,
-                             name="sech^2 log^2 integral (direct head)")
-        tail = adaptive_quad(f, 2.0, SECH_CUTOFF + 5.0,
-                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                             limit=cfg.max_depth,
-                             name="sech^2 log^2 integral (direct tail)")
-        return head + tail
-    raise DomainError(f"unknown sech integral method {method!r}")
+    head = adaptive_quad(
+        lambda v: v * v * math.exp(-v) / math.cosh(math.exp(-v)) ** 2,
+        0.0, 50.0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+        limit=cfg.max_depth, name="sech^2 log^2 integral (substituted head)")
+    tail = adaptive_quad(
+        lambda x: math.log(x) ** 2 / math.cosh(x) ** 2,
+        1.0, SECH_CUTOFF, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+        limit=cfg.max_depth, name="sech^2 log^2 integral (tail)")
+    return head + tail
 
 
 def a1_constant(a0, sech_int):

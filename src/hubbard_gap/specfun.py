@@ -2,15 +2,15 @@
 
 Only what the closed forms actually touch is implemented: the real
 dilogarithm Li2 on (-inf, 1], the Gamma ratio Gamma(s/2)/Gamma(1/2 + s/2),
-the cosine-power integral over a quarter period (a Beta-function value in
-disguise), and arctanh as a log expression.  Everything is a pure function
-of its scalar arguments.
+and the cosine-power integral over a quarter period (a Beta-function value
+in disguise; its quadrature companion is
+``hubbard_gap.oracles.cosine_power_quadrature``).  Everything is a pure
+function of its scalar arguments, written with ``math`` alone.
 """
 
 import math
 
 from .errors import DomainError
-from .quadrature import adaptive_quad
 
 PI_SQUARED = math.pi ** 2
 TWO_PI_SQUARED = 2.0 * PI_SQUARED
@@ -83,32 +83,3 @@ def cosine_power_integral(s):
     if not s > 0:
         raise DomainError(f"cosine power integral needs s > 0, got {s}")
     return 0.5 * math.sqrt(math.pi) * gamma_ratio(s)
-
-
-def cosine_power_quadrature(s, rel_tol=1e-12, abs_tol=1e-14, limit=200):
-    """Direct quadrature companion of :func:`cosine_power_integral`.
-
-    Integrates sin(u)^(s-1) over [0, pi/2] (the same integral mirrored
-    about pi/4) after substituting w = u^s, which removes the endpoint
-    singularity for s < 1: the transformed integrand (sin(u)/u)^(s-1) / s
-    is smooth on the whole interval.
-    """
-    if not s > 0:
-        raise DomainError(f"cosine power integral needs s > 0, got {s}")
-
-    def integrand(w):
-        u = w ** (1.0 / s)
-        if u == 0.0:
-            return 1.0 / s
-        return (math.sin(u) / u) ** (s - 1.0) / s
-
-    return adaptive_quad(integrand, 0.0, (0.5 * math.pi) ** s,
-                         rel_tol=rel_tol, abs_tol=abs_tol, limit=limit,
-                         name="cosine power quadrature")
-
-
-def arctanh(x):
-    """Inverse hyperbolic tangent as the log expression ln((1+x)/(1-x))/2."""
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"arctanh needs |x| < 1, got {x}")
-    return 0.5 * math.log((1.0 + x) / (1.0 - x))

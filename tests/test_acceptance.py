@@ -21,7 +21,8 @@ from hubbard_gap import (GapParams, a0_exact, a0_numeric, a1_constant,
                          a1_minus_b1, asymptotic_comparison, b1_constant,
                          dilog, dilog_inversion_residual, dos_asymptotic,
                          dos_moment, dos_moment_exact,
-                         dos_pushforward_oracle, dos_value, gap_rhs,
+                         dos_pushforward_oracle, dos_value_quadrature,
+                         gap_rhs_sinh,
                          gap_solve, i1_closed, i1_quadrature, i1_small_delta,
                          i2_numeric, regularized_limit, sech_log2_integral)
 from hubbard_gap.dos import DEFAULT_CONFIG
@@ -109,14 +110,15 @@ def test_criterion_07_decomposition():
         a0 = a0_numeric(CFG)
         for delta in (0.01, 0.1, 1.0):
             assembled = a0 + i1_closed(delta) + i2_numeric(delta, CFG)
-            direct = gap_rhs(delta, CFG, method="sinh")
+            direct = gap_rhs_sinh(delta, CFG)
             assert abs(assembled - direct) < 1e-8
 
 
 def test_criterion_08_dos_expansion_and_oracle():
     with reported(8, "DOS expansion and pushforward oracle"):
         for eps in np.geomspace(1e-3, 0.1, 9):
-            diff = abs(dos_value(float(eps), CFG) - dos_asymptotic(float(eps)))
+            diff = abs(dos_value_quadrature(float(eps), CFG)
+                       - dos_asymptotic(float(eps)))
             assert diff / (eps ** 4 * math.log(1.0 / eps)) < 5e-3
         test_functions = [
             lambda e: 1.0 if np.isscalar(e) else np.ones_like(e),
@@ -128,7 +130,7 @@ def test_criterion_08_dos_expansion_and_oracle():
         for g in test_functions:
             oracle = dos_pushforward_oracle(g, CFG)
             lhs, _ = quad(lambda e: float(np.asarray(g(e) + g(-e)))
-                          * dos_value(e, CFG),
+                          * dos_value_quadrature(e, CFG),
                           0.0, 4.0, epsabs=1e-10, epsrel=1e-8, limit=200)
             assert lhs == pytest.approx(oracle, rel=1e-6)
 

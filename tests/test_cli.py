@@ -64,6 +64,13 @@ class TestSolve:
         assert out == ""
         assert "coupling must be positive" in err
 
+    def test_strong_coupling_wrong_gap_exits_3(self, capsys):
+        # the root found here is 2.3e18 against a true gap near u/2 = 5e299
+        code, out, err = run_cli(["solve", "--u", "1e300"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "relative gap residual" in err
+
 
 class TestSweep:
     def test_monotone_rel_dev(self, capsys):
@@ -124,12 +131,16 @@ class TestDos:
                               "--eps-max", "2"], capsys)
         assert code == 2
 
-    def test_tiny_epsilon_fails_with_named_error(self, capsys):
-        code, _, err = run_cli(["dos", "--points", "3", "--eps-min", "1e-300",
-                                "--eps-max", "1"], capsys)
-        assert code in (2, 3)
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+    def test_tiny_epsilon_follows_log_law(self, capsys):
+        # at eps = 1e-300 the eps^2 correction is far below one ulp of
+        # ln(16/eps)/(2 pi^2)
+        code, out, _ = run_cli(["dos", "--points", "3", "--eps-min", "1e-300",
+                                "--eps-max", "1", "--format", "json"], capsys)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["epsilon"] == 1e-300
+        assert row["n0"] == pytest.approx(
+            math.log(16.0 / 1e-300) / (2.0 * math.pi ** 2), rel=1e-15)
 
 
 class TestConstants:
@@ -257,7 +268,8 @@ class TestOutputContract:
         assert len(delta_cell.lstrip("0.")) >= 11
 
     @pytest.mark.parametrize("argv", [["solve", "--u", "1", "--seed", "1"],
-                                      ["constants", "--mc-samples", "10"]])
+                                      ["constants", "--mc-samples", "10"],
+                                      ["dos", "--rel-tol", "1e-8"]])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -270,3 +282,27 @@ class TestOutputContract:
                                capsys)
         assert code == 3
         assert "did not converge" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dos", "--points", "3", "--eps-min", "0.1", "--eps-max", "inf"],
+        ["sweep", "--points", "3", "--u-min", "0.5", "--u-max", "inf"],
+    ])
+    def test_infinite_range_exits_2(self, argv, capsys, recwarn):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("argv", [
+        ["ratio", "--u-values", "1e-300"],
+        ["regularize", "--s-values", "1000,900,800,700"],
+        ["regularize", "--s-values", "1e-300,1e-301,1e-302,1e-303"],
+    ])
+    def test_arithmetic_error_exits_3(self, argv, capsys):
+        # both asymptotic scales underflow to 0; e ** (s - 1) overflows;
+        # s * s underflows to 0 under a division
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hubbard_gap import (ConvergenceError, DomainError, DosPoint,
-                         QuadratureConfig, dos_asymptotic, dos_moment,
-                         dos_moment_exact, dos_pushforward_oracle, dos_value,
-                         dos_value_elliptic)
+from hubbard_gap import (ConvergenceError, DomainError, QuadratureConfig,
+                         dos_asymptotic, dos_moment, dos_moment_exact,
+                         dos_pushforward_oracle, dos_value_elliptic,
+                         dos_value_quadrature)
 from hubbard_gap.dos import DEFAULT_CONFIG, DELTA_SPLIT, dos_log_subtracted
 
 CFG = DEFAULT_CONFIG
@@ -17,21 +17,6 @@ TWO_PI_SQ = 2.0 * math.pi ** 2
 # true ratio sits near 4e-5 but the smallest energies are limited by the
 # double-precision noise floor of the quadrature, ~1e-3 at eps = 1e-3
 REMAINDER_BOUND = 5e-3
-
-
-class TestDosPoint:
-    def test_valid_sample(self):
-        point = DosPoint(epsilon=0.5, value=dos_value(0.5, CFG))
-        assert point.value > 0.0
-
-    def test_negative_density_rejected(self):
-        with pytest.raises(DomainError):
-            DosPoint(epsilon=1.0, value=-0.1)
-
-    def test_outside_band_must_vanish(self):
-        DosPoint(epsilon=5.0, value=0.0)
-        with pytest.raises(DomainError):
-            DosPoint(epsilon=5.0, value=0.1)
 
 
 class TestQuadratureConfig:
@@ -53,30 +38,31 @@ class TestQuadratureConfig:
 class TestDosValue:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 3.5])
     def test_even(self, eps):
-        assert dos_value(-eps, CFG) == dos_value(eps, CFG)
+        assert (dos_value_quadrature(-eps, CFG)
+                == dos_value_quadrature(eps, CFG))
 
     @pytest.mark.parametrize("eps", [4.0, 5.0, -4.5, 100.0])
     def test_outside_band(self, eps):
-        assert dos_value(eps, CFG) == 0.0
+        assert dos_value_quadrature(eps, CFG) == 0.0
         assert dos_value_elliptic(eps) == 0.0
 
     def test_singularity_raises(self):
         with pytest.raises(DomainError):
-            dos_value(0.0, CFG)
+            dos_value_quadrature(0.0, CFG)
         with pytest.raises(DomainError):
             dos_value_elliptic(0.0)
 
     @pytest.mark.parametrize("eps", [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0,
                                      3.9, 3.999])
     def test_quadrature_matches_elliptic(self, eps):
-        assert dos_value(eps, CFG) == pytest.approx(
+        assert dos_value_quadrature(eps, CFG) == pytest.approx(
             dos_value_elliptic(eps), rel=1e-11)
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-40])
     def test_small_eps_matches_elliptic(self, eps):
         # the difference form a^2 - b^2 sin^2 t cancels here: 2.3e-10 off at
         # 1e-8, no convergence at 1e-12
-        assert dos_value(eps, CFG) == pytest.approx(
+        assert dos_value_quadrature(eps, CFG) == pytest.approx(
             dos_value_elliptic(eps), rel=1e-12)
 
     def test_band_edge_value(self):
@@ -85,12 +71,13 @@ class TestDosValue:
             1.0 / (4.0 * math.pi), rel=1e-6)
 
     def test_value_near_expansion(self):
-        diff = abs(dos_value(0.1, CFG) - dos_asymptotic(0.1))
+        diff = abs(dos_value_quadrature(0.1, CFG) - dos_asymptotic(0.1))
         assert diff < REMAINDER_BOUND * 0.1 ** 4 * math.log(10.0)
 
     def test_remainder_scaling(self):
         for eps in np.geomspace(1e-3, 0.1, 9):
-            diff = abs(dos_value(float(eps), CFG) - dos_asymptotic(float(eps)))
+            diff = abs(dos_value_quadrature(float(eps), CFG)
+                       - dos_asymptotic(float(eps)))
             assert diff / (eps ** 4 * math.log(1.0 / eps)) < REMAINDER_BOUND
 
     def test_positive_inside_band(self):
@@ -98,7 +85,7 @@ class TestDosValue:
             assert dos_value_elliptic(eps) > 0.0
 
     def test_monotone_divergence(self):
-        values = [dos_value(e, CFG) for e in (1.0, 0.1, 0.01)]
+        values = [dos_value_quadrature(e, CFG) for e in (1.0, 0.1, 0.01)]
         assert values[0] < values[1] < values[2]
 
     def test_normalisation(self):
@@ -123,7 +110,7 @@ class TestDosAsymptotic:
 
 class TestLogSubtracted:
     def test_matches_direct_subtraction(self):
-        direct = dos_value(0.5, CFG) - math.log(32.0) / TWO_PI_SQ
+        direct = dos_value_quadrature(0.5, CFG) - math.log(32.0) / TWO_PI_SQ
         assert dos_log_subtracted(0.5) == pytest.approx(direct, abs=1e-11)
 
     def test_continuous_at_split(self):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hubbard_gap import (DomainError, GapParams, asymptotic_comparison,
-                         delta_asymptotic, dos_pushforward_oracle, gap_rhs,
+from hubbard_gap import (ConvergenceError, DomainError, GapParams,
+                         asymptotic_comparison, delta_asymptotic,
+                         dos_pushforward_oracle, gap_rhs, gap_rhs_sinh,
                          gap_solve, i1_closed, i1_quadrature, i1_small_delta,
                          i2_numeric)
 from hubbard_gap.dos import DEFAULT_CONFIG
@@ -92,7 +93,7 @@ class TestI2:
         a0 = a0_numeric(CFG)
         for delta in (0.01, 0.1, 1.0):
             assembled = a0 + i1_closed(delta) + i2_numeric(delta, CFG)
-            assert abs(assembled - gap_rhs(delta, CFG, method="sinh")) < 1e-8
+            assert abs(assembled - gap_rhs_sinh(delta, CFG)) < 1e-8
 
 
 class TestGapRhs:
@@ -103,8 +104,7 @@ class TestGapRhs:
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 1.0, 3.9])
     def test_paths_agree(self, delta):
-        assert abs(gap_rhs(delta, CFG, method="split")
-                   - gap_rhs(delta, CFG, method="sinh")) < 1e-8
+        assert abs(gap_rhs(delta, CFG) - gap_rhs_sinh(delta, CFG)) < 1e-8
 
     def test_brillouin_zone_path(self):
         delta = 0.5
@@ -126,8 +126,6 @@ class TestGapRhs:
     def test_domain(self):
         with pytest.raises(DomainError):
             gap_rhs(0.0, CFG)
-        with pytest.raises(DomainError):
-            gap_rhs(1.0, CFG, method="nope")
 
 
 class TestGapSolve:
@@ -152,6 +150,12 @@ class TestGapSolve:
         deltas = [gap_solve(GapParams(u=u), CFG).delta
                   for u in (0.3, 0.5, 1.0, 2.0, 4.0)]
         assert all(a < b for a, b in zip(deltas, deltas[1:]))
+
+    def test_strong_coupling_relative_residual_gate(self):
+        # the root found at u = 1e9 is 3.9e-7 off (true gap ~ u/2): its
+        # absolute residual 4e-16 passes, its relative residual does not
+        with pytest.raises(ConvergenceError, match="relative gap residual"):
+            gap_solve(GapParams(u=1e9), CFG)
 
     def test_large_coupling_formal_point(self):
         # radicand 4 pi^2/u = 1 at u = 4 pi^2; asymptotic value is 32/e

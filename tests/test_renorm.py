@@ -5,11 +5,13 @@ from hypothesis import given, strategies as st
 
 from hubbard_gap import (DomainError, FitDegeneracyError, a0_exact,
                          a0_numeric, a1_constant, a1_minus_b1, b1_constant,
-                         constants_report, dos_value, fit_laurent,
+                         constants_report, dos_moment, dos_value_quadrature,
+                         fit_laurent,
                          gap_ratio_expansion, j2_closed, j2_quadrature,
-                         delta_asymptotic, mellin_difference, mellin_pair,
+                         delta_asymptotic, mellin_difference,
                          neel_asymptotic, regularized_limit,
-                         richardson_extrapolate, sech_log2_integral)
+                         richardson_extrapolate, sech_log2_integral,
+                         sech_log2_integral_direct)
 from hubbard_gap.dos import DEFAULT_CONFIG
 from hubbard_gap.renorm import EULER_GAMMA
 from hubbard_gap.dos import dos_log_subtracted
@@ -41,7 +43,8 @@ class TestA0:
         assert combo == pytest.approx(0.27688, abs=1e-5)
 
     def test_integrand_spot_value(self):
-        direct = (dos_value(0.5, CFG) - math.log(32.0) / (2.0 * PI2)) / 0.5
+        direct = (dos_value_quadrature(0.5, CFG)
+                  - math.log(32.0) / (2.0 * PI2)) / 0.5
         assert dos_log_subtracted(0.5) / 0.5 == pytest.approx(direct, abs=1e-11)
 
 
@@ -81,10 +84,10 @@ class TestJ2:
 
 class TestMellinPair:
     def test_unit_order(self):
-        pair = mellin_pair(1.0, CFG)
-        assert pair.j1 == pytest.approx(0.5, abs=1e-10)
-        assert pair.j2 == pytest.approx(0.4835643384, abs=1e-9)
-        assert pair.j1 - pair.j2 == pytest.approx(0.0164356616, abs=1e-8)
+        j1, j2 = dos_moment(1.0, CFG), j2_closed(1.0)
+        assert j1 == pytest.approx(0.5, abs=1e-10)
+        assert j2 == pytest.approx(0.4835643384, abs=1e-9)
+        assert j1 - j2 == pytest.approx(0.0164356616, abs=1e-8)
 
     def test_difference_tends_to_a0_linearly(self):
         # intercept of the linear trend in s recovers a0
@@ -99,9 +102,8 @@ class TestMellinPair:
                                                              abs=1e-3)
 
     def test_difference_consistent_with_pair(self):
-        pair = mellin_pair(0.1, CFG)
         assert mellin_difference(0.1, CFG) == pytest.approx(
-            pair.j1 - pair.j2, abs=1e-6)
+            dos_moment(0.1, CFG) - j2_closed(0.1), abs=1e-6)
 
     def test_divergence_cancellation_along_grid(self):
         scaled_quadratic = [s * s * mellin_difference(s, CFG)
@@ -181,8 +183,8 @@ class TestSechIntegral:
                                                         rel=1e-12)
 
     def test_parameterizations_agree(self):
-        sub = sech_log2_integral(CFG, method="log-substitution")
-        direct = sech_log2_integral(CFG, method="direct")
+        sub = sech_log2_integral(CFG)
+        direct = sech_log2_integral_direct(CFG)
         assert abs(sub - direct) < 1e-10
 
     def test_tail_negligible(self):
@@ -197,10 +199,6 @@ class TestSechIntegral:
         back_solved = (-4.0 * PI2 * a0_exact() - 0.3260
                        + (2.0 * math.log(2.0)) ** 2 + cross ** 2)
         assert sech_log2_integral(CFG) == pytest.approx(back_solved, abs=5e-4)
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            sech_log2_integral(CFG, method="bogus")
 
 
 class TestA1:

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from hubbard_gap import (DomainError, arctanh, cosine_power_integral,
+from hubbard_gap import (DomainError, cosine_power_integral,
                          cosine_power_quadrature, dilog,
                          dilog_inversion_residual, gamma_ratio)
 
@@ -120,14 +120,3 @@ class TestCosinePower:
             cosine_power_integral(s)
         with pytest.raises(DomainError):
             cosine_power_quadrature(s)
-
-
-class TestArctanh:
-    @pytest.mark.parametrize("x", [-0.99, -0.5, 0.0, 0.3, 0.9999])
-    def test_matches_stdlib(self, x):
-        assert arctanh(x) == pytest.approx(math.atanh(x), rel=1e-14, abs=1e-15)
-
-    @pytest.mark.parametrize("x", [-1.0, 1.0, 2.0])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            arctanh(x)
