@@ -3,8 +3,7 @@ Hubbard model: density of states, gap-equation solver, exact constants,
 and the moment regularization tying them together.
 """
 
-from .dos import (DEFAULT_CONFIG, DEFAULT_MC_SEED, QuadratureConfig,
-                  dos_asymptotic, dos_moment, dos_moment_exact, dos_value,
+from .dos import (dos_asymptotic, dos_moment, dos_moment_exact, dos_value,
                   dos_value_elliptic)
 from .errors import ConvergenceError, DomainError, FitDegeneracyError
 from .gap import (AsymptoticComparison, GapParams, GapSolution,
@@ -13,6 +12,7 @@ from .gap import (AsymptoticComparison, GapParams, GapSolution,
 from .oracles import (cosine_power_quadrature, dos_pushforward_oracle,
                       dos_value_quadrature, gap_rhs_sinh, i1_quadrature,
                       j2_quadrature, sech_log2_integral_direct)
+from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, QuadratureConfig
 from .renorm import (ConstantsReport, EULER_GAMMA, LaurentFit,
                      RegularizedLimit, a0_exact, a0_numeric, a1_constant,
                      a1_minus_b1, b1_constant, constants_report,

@@ -26,10 +26,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dos import (DEFAULT_MC_SEED, QuadratureConfig, dos_asymptotic,
-                  dos_moment_exact, dos_value)
+from .dos import dos_asymptotic, dos_moment_exact, dos_value
 from .errors import ConvergenceError, DomainError
 from .gap import GapParams, asymptotic_comparison, delta_asymptotic, gap_solve
+from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, QuadratureConfig
 from .renorm import (constants_report, gap_ratio_expansion, j2_closed,
                      neel_asymptotic, regularized_limit)
 
@@ -192,12 +192,15 @@ def cmd_ratio(args, cfg):
 
 def build_parser():
     tolerances = argparse.ArgumentParser(add_help=False)
-    tolerances.add_argument("--rel-tol", type=float, default=1e-10,
-                            help="relative quadrature tolerance (default 1e-10)")
-    tolerances.add_argument("--abs-tol", type=float, default=1e-13,
-                            help="absolute quadrature tolerance (default 1e-13)")
-    tolerances.add_argument("--max-depth", type=int, default=200,
-                            help="adaptive subdivision limit (default 200)")
+    tolerances.add_argument(
+        "--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
+        help=f"relative quadrature tolerance (default {DEFAULT_CONFIG.rel_tol:g})")
+    tolerances.add_argument(
+        "--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol,
+        help=f"absolute quadrature tolerance (default {DEFAULT_CONFIG.abs_tol:g})")
+    tolerances.add_argument(
+        "--max-depth", type=int, default=DEFAULT_CONFIG.max_depth,
+        help=f"adaptive subdivision limit (default {DEFAULT_CONFIG.max_depth})")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")

@@ -22,18 +22,17 @@ and the defining two-dimensional integral with a Monte Carlo guard
 Moments of eps^(s-1) against N0 on [0, 4] come both numerically
 (``dos_moment``, with the singular neighbourhood of eps = 0 integrated in
 closed form from the expansion above) and exactly (``dos_moment_exact``,
-a squared Gamma ratio).
+a squared Gamma ratio).  Tolerances come from ``hubbard_gap.quadrature``.
 
 All functions are pure.
 """
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import ellipkm1
 
-from .errors import DomainError
-from .quadrature import adaptive_quad
+from .errors import ConvergenceError, DomainError
+from .quadrature import DEFAULT_CONFIG, adaptive_quad
 from .specfun import PI_SQUARED, TWO_PI_SQUARED, gamma_ratio
 
 BAND_EDGE = 4.0
@@ -41,30 +40,6 @@ BAND_EDGE = 4.0
 #: below this energy the two-term singular expansion replaces direct
 #: subtraction of the log divergence (remainder O(eps^4 ln) < 1e-15 there)
 DELTA_SPLIT = 1e-3
-
-#: fixed default seed of the Monte Carlo guard, for reproducible runs
-DEFAULT_MC_SEED = 1729
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits governing every integral in the package."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    max_depth: int = 200
-    mc_samples: int = 200_000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be at least 1")
-        if self.mc_samples < 10_000:
-            raise DomainError("mc_samples must be at least 10000")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 def dos_value_elliptic(epsilon):
@@ -133,6 +108,23 @@ def _moment_split_head(s, include_log_part):
     return head
 
 
+def _split_moment(s, density, include_log_part, cfg, name):
+    """int_0^4 eps^(s-1) density(eps), s > 0: closed-form head on [0, DELTA_SPLIT]
+    plus quadrature; ConvergenceError naming ``name`` and ``s`` where the
+    moment leaves double range (s above about 513 or below about 1e-154)."""
+    if not s > 0:
+        raise DomainError(f"moment order must be positive, got {s}")
+    try:
+        tail = adaptive_quad(lambda e: e ** (s - 1.0) * density(e),
+                             DELTA_SPLIT, BAND_EDGE, cfg, name)
+        value = _moment_split_head(s, include_log_part) + tail
+    except ArithmeticError:  # e ** (s - 1) overflows or s * s underflows to 0
+        value = math.inf
+    if not math.isfinite(value):  # or 1/(s * s) overflows to inf
+        raise ConvergenceError(f"{name} leaves double range at s = {s}")
+    return value
+
+
 def dos_moment(s, cfg=DEFAULT_CONFIG):
     """Numeric moment int_0^4 eps^(s-1) N0(eps) d(eps), s > 0.
 
@@ -140,13 +132,7 @@ def dos_moment(s, cfg=DEFAULT_CONFIG):
     [0, DELTA_SPLIT] the expansion is integrated in closed form, the rest
     by adaptive quadrature against the validated elliptic fast path.
     """
-    if not s > 0:
-        raise DomainError(f"moment order must be positive, got {s}")
-    tail = adaptive_quad(lambda e: e ** (s - 1.0) * dos_value_elliptic(e),
-                         DELTA_SPLIT, BAND_EDGE,
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         limit=cfg.max_depth, name="DOS moment")
-    return _moment_split_head(s, include_log_part=True) + tail
+    return _split_moment(s, dos_value_elliptic, True, cfg, "DOS moment")
 
 
 def dos_moment_exact(s):

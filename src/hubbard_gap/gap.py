@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .dos import DEFAULT_CONFIG, dos_log_subtracted
+from .dos import dos_log_subtracted
 from .errors import ConvergenceError, DomainError
-from .quadrature import adaptive_quad
+from .quadrature import DEFAULT_CONFIG, adaptive_quad
 from .renorm import a0_exact
 from .specfun import PI_SQUARED, dilog
 
@@ -150,9 +150,7 @@ def i2_numeric(delta, cfg=DEFAULT_CONFIG):
         kernel = -delta * delta / (e * rt * (e + rt))
         return dos_log_subtracted(e) * kernel
 
-    return adaptive_quad(integrand, 0.0, 4.0,
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         limit=cfg.max_depth, name="subtracted gap remainder")
+    return adaptive_quad(integrand, 0.0, 4.0, cfg, "subtracted gap remainder")
 
 
 def gap_rhs(delta, cfg=DEFAULT_CONFIG):

@@ -11,12 +11,14 @@ import math
 
 import numpy as np
 
-from .dos import (BAND_EDGE, DEFAULT_CONFIG, DEFAULT_MC_SEED, DELTA_SPLIT,
-                  dos_value_elliptic)
+from .dos import BAND_EDGE, DELTA_SPLIT, dos_value_elliptic
 from .errors import ConvergenceError, DomainError
-from .quadrature import adaptive_quad
+from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, adaptive_quad
 from .renorm import SECH_CUTOFF
 from .specfun import PI_SQUARED, TWO_PI_SQUARED
+
+#: Monte Carlo sample count of the pushforward oracle's guard
+_MC_SAMPLES = 200_000
 
 
 def dos_value_quadrature(epsilon, cfg=DEFAULT_CONFIG):
@@ -47,9 +49,8 @@ def dos_value_quadrature(epsilon, cfg=DEFAULT_CONFIG):
     def integrand(t):
         return 1.0 / math.hypot(a * math.sin(t), root_e * math.cos(t))
 
-    val = adaptive_quad(integrand, 0.0, 0.5 * math.pi,
-                        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                        limit=cfg.max_depth, name="level-set DOS reduction")
+    val = adaptive_quad(integrand, 0.0, 0.5 * math.pi, cfg,
+                        "level-set DOS reduction")
     return val / PI_SQUARED
 
 
@@ -83,17 +84,13 @@ def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG, seed=DEFAULT_MC_SEED):
     def inner(k1):
         c1 = math.cos(k1)
         return adaptive_quad(lambda k2: g(-2.0 * (c1 + math.cos(k2))),
-                             0.0, math.pi,
-                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                             limit=cfg.max_depth, name="pushforward oracle (inner)")
+                             0.0, math.pi, cfg, "pushforward oracle (inner)")
 
-    quad_val = adaptive_quad(inner, 0.0, math.pi,
-                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                             limit=cfg.max_depth,
-                             name="pushforward oracle (outer)") / PI_SQUARED
+    quad_val = adaptive_quad(inner, 0.0, math.pi, cfg,
+                             "pushforward oracle (outer)") / PI_SQUARED
 
     rng = np.random.default_rng(seed)
-    k = rng.uniform(-math.pi, math.pi, size=(cfg.mc_samples, 2))
+    k = rng.uniform(-math.pi, math.pi, size=(_MC_SAMPLES, 2))
     vals = _mc_values(g, -2.0 * (np.cos(k[:, 0]) + np.cos(k[:, 1])))
     mc_mean = float(vals.mean())
     mc_err = float(vals.std(ddof=1) / math.sqrt(vals.size))
@@ -122,9 +119,7 @@ def i1_quadrature(delta, cfg=DEFAULT_CONFIG):
             return v * v / 6.0
         return math.log(math.sinh(v) / v)
 
-    smooth_part = adaptive_quad(smooth, 0.0, v_max,
-                                rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                                limit=cfg.max_depth, name="log-kernel integral")
+    smooth_part = adaptive_quad(smooth, 0.0, v_max, cfg, "log-kernel integral")
     log_sinh_integral = v_max * math.log(v_max) - v_max + smooth_part
     return (math.log(16.0 / delta) * v_max - log_sinh_integral) / TWO_PI_SQUARED
 
@@ -141,9 +136,7 @@ def gap_rhs_sinh(delta, cfg=DEFAULT_CONFIG):
         raise DomainError("gap must be positive")
     v_max = math.asinh(4.0 / delta)
     return adaptive_quad(lambda v: dos_value_elliptic(delta * math.sinh(v)),
-                         0.0, v_max,
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         limit=cfg.max_depth, name="gap equation (sinh path)")
+                         0.0, v_max, cfg, "gap equation (sinh path)")
 
 
 def j2_quadrature(s, cfg=DEFAULT_CONFIG):
@@ -154,8 +147,7 @@ def j2_quadrature(s, cfg=DEFAULT_CONFIG):
     head = d ** s * (math.log(16.0 / d) / s + 1.0 / (s * s)) / TWO_PI_SQUARED
     tail = adaptive_quad(
         lambda e: e ** (s - 1.0) * math.log(16.0 / e) / TWO_PI_SQUARED,
-        d, BAND_EDGE, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        limit=cfg.max_depth, name="log moment")
+        d, BAND_EDGE, cfg, "log moment")
     return head + tail
 
 
@@ -168,18 +160,14 @@ def sech_log2_integral_direct(cfg=DEFAULT_CONFIG):
     1e-15 and dropped.
     """
     f = lambda x: math.log(x) ** 2 / math.cosh(x) ** 2
-    head = adaptive_quad(f, 0.0, 2.0,
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         limit=cfg.max_depth,
-                         name="sech^2 log^2 integral (direct head)")
-    tail = adaptive_quad(f, 2.0, SECH_CUTOFF + 5.0,
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         limit=cfg.max_depth,
-                         name="sech^2 log^2 integral (direct tail)")
+    head = adaptive_quad(f, 0.0, 2.0, cfg,
+                         "sech^2 log^2 integral (direct head)")
+    tail = adaptive_quad(f, 2.0, SECH_CUTOFF + 5.0, cfg,
+                         "sech^2 log^2 integral (direct tail)")
     return head + tail
 
 
-def cosine_power_quadrature(s, rel_tol=1e-12, abs_tol=1e-14, limit=200):
+def cosine_power_quadrature(s, cfg=DEFAULT_CONFIG):
     """Direct quadrature companion of ``specfun.cosine_power_integral``.
 
     Integrates sin(u)^(s-1) over [0, pi/2] (the same integral mirrored
@@ -196,6 +184,5 @@ def cosine_power_quadrature(s, rel_tol=1e-12, abs_tol=1e-14, limit=200):
             return 1.0 / s
         return (math.sin(u) / u) ** (s - 1.0) / s
 
-    return adaptive_quad(integrand, 0.0, (0.5 * math.pi) ** s,
-                         rel_tol=rel_tol, abs_tol=abs_tol, limit=limit,
-                         name="cosine power quadrature")
+    return adaptive_quad(integrand, 0.0, (0.5 * math.pi) ** s, cfg,
+                         "cosine power quadrature")

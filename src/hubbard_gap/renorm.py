@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dos import (BAND_EDGE, DEFAULT_CONFIG, DELTA_SPLIT, _moment_split_head,
+from .dos import (BAND_EDGE, DELTA_SPLIT, _moment_split_head, _split_moment,
                   dos_log_subtracted, dos_moment)
-from .errors import DomainError, FitDegeneracyError
-from .quadrature import adaptive_quad
+from .errors import ConvergenceError, DomainError, FitDegeneracyError
+from .quadrature import DEFAULT_CONFIG, adaptive_quad
 from .specfun import PI_SQUARED, TWO_PI_SQUARED
 
 EULER_GAMMA = 0.57721566490153286061
@@ -58,14 +58,12 @@ def a0_numeric(cfg=DEFAULT_CONFIG):
 
     The integrand is eps (ln(16/eps) - 1)/(128 pi^2) + O(eps^3 ln) near
     zero; on [0, DELTA_SPLIT] that leading part is integrated in closed
-    form, the remainder by adaptive quadrature.
+    form (the s = 0 head of ``mellin_difference``), the remainder by
+    adaptive quadrature.
     """
-    d = DELTA_SPLIT
-    head = d * d * (2.0 * math.log(16.0 / d) - 1.0) / (512.0 * PI_SQUARED)
-    tail = adaptive_quad(lambda e: dos_log_subtracted(e) / e, d, BAND_EDGE,
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         limit=cfg.max_depth, name="subtracted DOS integral")
-    return head + tail
+    tail = adaptive_quad(lambda e: dos_log_subtracted(e) / e,
+                         DELTA_SPLIT, BAND_EDGE, cfg, "subtracted DOS integral")
+    return _moment_split_head(0.0, include_log_part=False) + tail
 
 
 def b1_constant(a0):
@@ -87,13 +85,7 @@ def mellin_difference(s, cfg=DEFAULT_CONFIG):
     eps^(s-1) (N0 - ln(16/eps)/(2 pi^2)) sidesteps the catastrophic
     cancellation of the two 1/(2 pi^2 s^2) poles at small s.
     """
-    if not s > 0:
-        raise DomainError(f"moment order must be positive, got {s}")
-    tail = adaptive_quad(lambda e: e ** (s - 1.0) * dos_log_subtracted(e),
-                         DELTA_SPLIT, BAND_EDGE,
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         limit=cfg.max_depth, name="subtracted moment")
-    return _moment_split_head(s, include_log_part=False) + tail
+    return _split_moment(s, dos_log_subtracted, False, cfg, "subtracted moment")
 
 
 @dataclass(frozen=True)
@@ -203,12 +195,10 @@ def sech_log2_integral(cfg=DEFAULT_CONFIG):
     """
     head = adaptive_quad(
         lambda v: v * v * math.exp(-v) / math.cosh(math.exp(-v)) ** 2,
-        0.0, 50.0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        limit=cfg.max_depth, name="sech^2 log^2 integral (substituted head)")
+        0.0, 50.0, cfg, "sech^2 log^2 integral (substituted head)")
     tail = adaptive_quad(
         lambda x: math.log(x) ** 2 / math.cosh(x) ** 2,
-        1.0, SECH_CUTOFF, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        limit=cfg.max_depth, name="sech^2 log^2 integral (tail)")
+        1.0, SECH_CUTOFF, cfg, "sech^2 log^2 integral (tail)")
     return head + tail
 
 
@@ -238,14 +228,18 @@ def neel_asymptotic(u, a1):
     """Leading small-coupling transition-temperature scale.
 
     (32 / (pi e^-gamma)) exp(-sqrt(4 pi^2 / u + a1)); the exponentially
-    small relative correction is not modelled.
+    small relative correction is not modelled.  Raises ConvergenceError
+    where the scale underflows to 0 (u below about 7.1e-5 at a1 ~ 0.33).
     """
     if not u > 0:
         raise DomainError("coupling must be positive")
     radicand = 4.0 * PI_SQUARED / u + a1
     if radicand < 0:
         raise DomainError(f"negative radicand {radicand} in asymptotic exponent")
-    return 32.0 / (math.pi * math.exp(-EULER_GAMMA)) * math.exp(-math.sqrt(radicand))
+    scale = 32.0 / (math.pi * math.exp(-EULER_GAMMA)) * math.exp(-math.sqrt(radicand))
+    if scale == 0.0:
+        raise ConvergenceError(f"Neel scale underflows to 0 at u = {u}")
+    return scale
 
 
 def gap_ratio_expansion(u, a1, b1):

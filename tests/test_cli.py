@@ -306,3 +306,26 @@ class TestOutputContract:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")
+        # the message names the quantity and the (largest) input value
+        quantity = {"ratio": "Neel scale", "regularize": "DOS moment"}[argv[0]]
+        assert quantity in err
+        assert f"= {float(argv[-1].split(',')[0])}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--u", "1", "--rel-tol", "inf", "--abs-tol", "inf"],
+        ["constants", "--abs-tol", "nan"],
+        ["ratio", "--u-values", "0.1", "--rel-tol", "0"],
+    ])
+    def test_out_of_range_tolerance_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "tolerances must be positive and finite" in err
+
+    @pytest.mark.parametrize("depth", ["0", "2147483648", "100000000000"])
+    def test_max_depth_out_of_range_exits_2(self, depth, capsys):
+        code, out, err = run_cli(["solve", "--u", "1", "--max-depth", depth],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert "max_depth must be an integer in [1, 2147483647]" in err

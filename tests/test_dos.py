@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,17 +23,26 @@ REMAINDER_BOUND = 5e-3
 class TestQuadratureConfig:
     def test_defaults_valid(self):
         cfg = QuadratureConfig()
-        assert cfg.rel_tol == 1e-10 and cfg.mc_samples >= 10_000
+        assert dataclasses.astuple(cfg) == (1e-10, 1e-13, 200)
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "rel_tol", "abs_tol", "max_depth"]
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0},
         {"abs_tol": -1e-3},
         {"max_depth": 0},
-        {"mc_samples": 9_999},
+        {"rel_tol": math.inf},
+        {"abs_tol": math.inf},
+        {"max_depth": 2 ** 31},
+        {"max_depth": 200.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureConfig(**kwargs)
+
+    def test_largest_depth_accepted(self):
+        # built only: QUADPACK allocates work arrays of max_depth entries
+        assert QuadratureConfig(max_depth=2 ** 31 - 1).max_depth == 2 ** 31 - 1
 
 
 class TestDosValue:
@@ -199,3 +209,9 @@ class TestMoments:
             dos_moment(s, CFG)
         with pytest.raises(DomainError):
             dos_moment_exact(s)
+
+    @pytest.mark.parametrize("s", [1000.0, 1e-155, 1e-300])
+    def test_leaves_double_range(self, s):
+        # eps^(s-1) overflows; 1/s^2 overflows to inf; s * s underflows to 0
+        with pytest.raises(ConvergenceError, match=f"DOS moment .* s = {s}$"):
+            dos_moment(s, CFG)

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hubbard_gap import (DomainError, FitDegeneracyError, a0_exact,
-                         a0_numeric, a1_constant, a1_minus_b1, b1_constant,
+from hubbard_gap import (ConvergenceError, DomainError, FitDegeneracyError,
+                         a0_exact, a0_numeric, a1_constant, a1_minus_b1,
+                         b1_constant,
                          constants_report, dos_moment, dos_value_quadrature,
                          fit_laurent,
                          gap_ratio_expansion, j2_closed, j2_quadrature,
@@ -113,6 +115,12 @@ class TestMellinPair:
         assert abs(scaled_linear[-1]) < abs(scaled_linear[0])
         assert abs(scaled_quadratic[-1]) < 1e-5
         assert abs(scaled_linear[-1]) < 1e-3
+
+    def test_difference_leaves_double_range(self):
+        # eps^(s-1) overflows on [1e-3, 4] at s = 1000
+        with pytest.raises(ConvergenceError,
+                           match=r"subtracted moment .* s = 1000\.0$"):
+            mellin_difference(1000.0, CFG)
 
 
 class TestLaurentMachinery:
@@ -243,6 +251,14 @@ class TestNeel:
             neel_asymptotic(0.0, 0.0)
         with pytest.raises(DomainError):
             neel_asymptotic(1.0, -40.0)
+
+    def test_underflow_to_zero(self):
+        # 18.1 exp(-sqrt(4 pi^2/u + a1)) is subnormal but nonzero at
+        # u = 7.2e-5 and underflows to 0 between 7.15e-5 and 7.1e-5
+        assert 0.0 < neel_asymptotic(7.2e-5, 0.3260) < sys.float_info.min
+        for u in (7.1e-5, 1e-300):
+            with pytest.raises(ConvergenceError, match=f"Neel scale .* u = {u}$"):
+                neel_asymptotic(u, 0.3260)
 
 
 class TestGapRatio:

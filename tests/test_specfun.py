@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from hubbard_gap import (DomainError, cosine_power_integral,
+from hubbard_gap import (DomainError, QuadratureConfig, cosine_power_integral,
                          cosine_power_quadrature, dilog,
                          dilog_inversion_residual, gamma_ratio)
 
@@ -111,7 +111,8 @@ class TestCosinePower:
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 4.0])
     def test_quadrature_matches_closed_form(self, s):
-        assert cosine_power_quadrature(s) == pytest.approx(
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
+        assert cosine_power_quadrature(s, cfg) == pytest.approx(
             cosine_power_integral(s), rel=1e-10)
 
     @pytest.mark.parametrize("s", [0.0, -0.5])

@@ -1,0 +1,111 @@
+"""Byte-for-byte CLI guard for refactors: this checkout against an earlier revision.
+
+Usage, from any directory::
+
+    python tools/cli_guard.py <base-rev>
+
+Exports ``src`` of ``<base-rev>`` with ``git archive`` into a temporary
+directory, then runs every invocation in ``INVOCATIONS`` as a fresh
+``python -m hubbard_gap`` process, once on that export and once on this
+checkout's ``src``, and compares stdout, stderr and the exit code.  Prints
+one line per invocation (and a diff of each stream that differs) and exits
+1 when any invocation differs, 0 when all are identical (2 on a usage or
+git error).
+"""
+
+import difflib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: a single Gauss-Kronrod panel cannot meet these, so every command exits 3
+STRICT = ("--max-depth", "1", "--rel-tol", "1e-14", "--abs-tol", "1e-16")
+
+INVOCATIONS = [
+    # exit 0
+    ("solve", "--u", "1"),
+    ("solve", "--u", "2", "--t", "2", "--format", "json"),
+    ("sweep", "--u-min", "0.3", "--u-max", "2", "--points", "5", "--log-spacing"),
+    ("sweep", "--u-min", "0.5", "--u-max", "1", "--points", "3", "--format", "json"),
+    ("dos", "--points", "7", "--eps-min", "0.001", "--eps-max", "4.2"),
+    ("dos", "--points", "4", "--eps-min", "0.5", "--eps-max", "4", "--format", "json"),
+    ("constants",),
+    ("constants", "--format", "json", "--seed", "5"),
+    ("regularize", "--s-values", "0.4,0.2,0.1,0.05,0.025"),
+    ("regularize", "--s-values", "0.05,0.4,0.1,0.2,0.1,0.025", "--format", "json"),
+    ("ratio", "--u-values", "0.1,0.04,0.01"),
+    ("ratio", "--u-values", "0.2,0.05", "--format", "json"),
+    # exit 2
+    ("solve", "--u", "-1"),
+    ("regularize", "--s-values", "0.4,0.2,-0.1,0.05"),
+    ("regularize", "--s-values", "0.4,0.2,0.1"),
+    ("ratio", "--u-values", "0.1,abc"),
+    ("sweep", "--u-min", "0.5", "--u-max", "1", "--points", "0"),
+    ("dos", "--points", "3", "--eps-min", "-1", "--eps-max", "1"),
+    # exit 3
+    ("constants", *STRICT),
+    ("ratio", "--u-values", "0.1", *STRICT),
+    ("regularize", "--s-values", "0.4,0.2,0.1,0.05", *STRICT),
+    # help text of every command that takes quadrature tolerances
+    *[(command, "--help")
+      for command in ("solve", "sweep", "constants", "regularize", "ratio")],
+]
+
+
+def export_src(rev, into):
+    """Unpack ``src`` of ``rev`` under ``into`` and return its path."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)  # our own git archive output
+    return Path(into) / "src"
+
+
+def run(src, argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "hubbard_gap", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=300)
+    return {"stdout": done.stdout, "stderr": done.stderr,
+            "exit": f"{done.returncode}\n"}
+
+
+def main():
+    args = sys.argv[1:]
+    if len(args) != 1 or args[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    rev = args[0]
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            base_src = export_src(rev, tmp)
+        except subprocess.CalledProcessError as exc:
+            print(f"git archive {rev} src failed: {exc.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        for invocation in INVOCATIONS:
+            base = run(base_src, invocation, tmp)
+            head = run(REPO / "src", invocation, tmp)
+            streams = [name for name in base if base[name] != head[name]]
+            label = " ".join(invocation)
+            print(f"{'DIFF' if streams else 'same'}  exit {head['exit'].strip()}"
+                  f"  {label}")
+            for name in streams:
+                print("".join(difflib.unified_diff(
+                    base[name].splitlines(keepends=True),
+                    head[name].splitlines(keepends=True),
+                    f"{rev}: {name}", f"working tree: {name}")), end="")
+            differing += bool(streams)
+    print(f"{differing} of {len(INVOCATIONS)} invocations differ from {rev}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
