@@ -36,15 +36,13 @@ from scipy.optimize import brentq
 from .dos import dos_log_subtracted
 from .errors import ConvergenceError, DomainError
 from .quadrature import DEFAULT_CONFIG, adaptive_quad
-from .renorm import a0_exact
+from .renorm import _asymptotic_exponent, a0_exact
 from .specfun import PI_SQUARED, dilog
 
 #: target on |1/u - rhs(Delta)| and on u |1/u - rhs(Delta)| for every
 #: returned solution; at strong coupling 1/u is so small that the first
 #: alone passes gaps far from the root
 RESIDUAL_TOL = 1e-12
-
-_BRACKET_EXPANSIONS = 200
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class GapSolution:
     """A solved gap with solver diagnostics.
 
     ``residual`` is |1/u - rhs| in the units of the original equation;
-    ``bracket`` is the final sign-change interval containing ``delta``.
+    ``bracket`` is the interval handed to ``brentq``; its lower end is guess/4.
     """
 
     delta: float
@@ -117,17 +115,14 @@ def i1_closed(delta):
 
 
 def i1_small_delta(delta):
-    """Small-gap form (6 ln^2 Delta - 60 ln 2 ln Delta + pi^2 + 126 ln^2 2)/(24 pi^2).
+    """Small-gap form ln^2(32/Delta)/(4 pi^2) - a0 of I1.
 
     Accurate to O(Delta^2) for Delta below the band edge; evaluable as a
     pure formula for any positive argument.
     """
     if not delta > 0:
         raise DomainError("gap must be positive")
-    log_delta = math.log(delta)
-    ln2 = math.log(2.0)
-    return (6.0 * log_delta * log_delta - 60.0 * ln2 * log_delta
-            + PI_SQUARED + 126.0 * ln2 * ln2) / (24.0 * PI_SQUARED)
+    return (math.log(32.0) - math.log(delta)) ** 2 / (4.0 * PI_SQUARED) - a0_exact()
 
 
 def i2_numeric(delta, cfg=DEFAULT_CONFIG):
@@ -160,28 +155,21 @@ def gap_rhs(delta, cfg=DEFAULT_CONFIG):
     gaps, where the numerically integrated piece is itself
     O(Delta^2 ln^2 Delta).
     """
-    if not delta > 0:
-        raise DomainError("gap must be positive")
     return a0_exact() + i1_closed(delta) + i2_numeric(delta, cfg)
 
 
 def delta_asymptotic(u, b1=0.0):
     """Small-coupling gap scale 32 exp(-sqrt(4 pi^2 / u + b1))."""
-    if not u > 0:
-        raise DomainError("coupling must be positive")
-    radicand = 4.0 * PI_SQUARED / u + b1
-    if radicand < 0:
-        raise DomainError(f"negative radicand {radicand} in asymptotic exponent")
-    return 32.0 * math.exp(-math.sqrt(radicand))
+    return 32.0 * math.exp(-_asymptotic_exponent(u, b1))
 
 
 def gap_solve(params, cfg=DEFAULT_CONFIG):
     """Solve the gap equation for the given coupling and hopping.
 
     Works at unit hopping with the reduced coupling u/t and rescales the
-    root afterwards.  The bracket starts a factor 4 either side of the
-    asymptotic guess and expands geometrically until it straddles the
-    root, which monotonicity of the right side guarantees to be unique.
+    root afterwards.  The bracket runs from a quarter of the asymptotic
+    guess to four times it, the upper end growing by 4 until rhs < 1/u;
+    ``brentq`` finds the root, unique as the right side decreases strictly.
     """
     u_eff = params.u / params.t
     inv_u = 1.0 / u_eff
@@ -195,14 +183,9 @@ def gap_solve(params, cfg=DEFAULT_CONFIG):
     guess = delta_asymptotic(u_eff)
     lo, hi = 0.25 * guess, 4.0 * guess
     f_lo, f_hi = f(lo), f(hi)
-    for _ in range(_BRACKET_EXPANSIONS):
-        if f_lo > 0.0:
-            break
-        lo *= 0.25
-        f_lo = f(lo)
-    for _ in range(_BRACKET_EXPANSIONS):
-        if f_hi < 0.0:
-            break
+    # f(guess/4) > 0 needs rhs - ln^2(32/Delta)/(4 pi^2) > -ln^2(4)/(4 pi^2)
+    # = -0.0487 at Delta = guess/4 < 8, where its minimum is -3.24e-4
+    while f_hi >= 0.0:
         hi *= 4.0
         f_hi = f(hi)
     if not (f_lo > 0.0 > f_hi):

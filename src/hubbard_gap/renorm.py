@@ -38,6 +38,8 @@ from .quadrature import DEFAULT_CONFIG, adaptive_quad
 from .specfun import PI_SQUARED, TWO_PI_SQUARED
 
 EULER_GAMMA = 0.57721566490153286061
+_BCS_RATIO = math.pi * math.exp(-EULER_GAMMA)
+_A1_CROSS = EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi)
 
 #: four-digit reference value of the Neel shift constant, used only for
 #: reporting deviations
@@ -68,7 +70,7 @@ def a0_numeric(cfg=DEFAULT_CONFIG):
 
 def b1_constant(a0):
     """Gap-shift constant 4 pi^2 ((ln 2)^2/pi^2 - 1/24 - a0); zero at the exact a0."""
-    return 4.0 * PI_SQUARED * (math.log(2.0) ** 2 / PI_SQUARED - 1.0 / 24.0 - a0)
+    return 4.0 * PI_SQUARED * (a0_exact() - a0)
 
 
 def j2_closed(s):
@@ -138,14 +140,17 @@ def fit_laurent(s_grid, values):
     if v.size != s.size:
         raise DomainError("grid and values must have equal length")
     design = np.vander(s, 4, increasing=True)
-    target = s * s * v
-    coef, _, rank, singular = np.linalg.lstsq(design, target, rcond=None)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            target = s * s * v
+            coef, _, rank, singular = np.linalg.lstsq(design, target, rcond=None)
+            fit_residual = float(np.sqrt(np.mean((target - design @ coef) ** 2)))
+    except FloatingPointError as exc:
+        raise ConvergenceError(f"Laurent fit on grid s = {s.tolist()}: {exc}") from exc
     if rank < 4 or singular[-1] < 1e-13 * singular[0]:
         raise FitDegeneracyError("grid too clustered for a stable Laurent fit")
-    residual = target - design @ coef
     return LaurentFit(c_m2=float(coef[0]), c_m1=float(coef[1]),
-                      c_0=float(coef[2]),
-                      fit_residual=float(np.sqrt(np.mean(residual ** 2))))
+                      c_0=float(coef[2]), fit_residual=fit_residual)
 
 
 def richardson_extrapolate(s_grid, values):
@@ -208,9 +213,8 @@ def a1_constant(a0, sech_int):
     a1 = -4 pi^2 a0 - int_0^inf (ln x)^2 sech^2 x dx + (2 ln 2)^2
          + (gamma + 2 ln 2 - ln pi)^2  ~ 0.3260.
     """
-    cross = EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi)
     return (-4.0 * PI_SQUARED * a0 - sech_int
-            + (2.0 * math.log(2.0)) ** 2 + cross * cross)
+            + (2.0 * math.log(2.0)) ** 2 + _A1_CROSS * _A1_CROSS)
 
 
 def a1_minus_b1(sech_int):
@@ -220,8 +224,17 @@ def a1_minus_b1(sech_int):
     a1 and b1 cancel exactly, so this provides a second, independent route
     to the combination controlling the gap ratio slope.
     """
-    cross = EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi)
-    return cross * cross + PI_SQUARED / 6.0 - sech_int
+    return _A1_CROSS * _A1_CROSS + PI_SQUARED / 6.0 - sech_int
+
+
+def _asymptotic_exponent(u, shift):
+    """sqrt(4 pi^2 / u + shift), the exponent of the weak-coupling scales."""
+    if not u > 0:
+        raise DomainError("coupling must be positive")
+    radicand = 4.0 * PI_SQUARED / u + shift
+    if radicand < 0:
+        raise DomainError(f"negative radicand {radicand} in asymptotic exponent")
+    return math.sqrt(radicand)
 
 
 def neel_asymptotic(u, a1):
@@ -231,12 +244,7 @@ def neel_asymptotic(u, a1):
     small relative correction is not modelled.  Raises ConvergenceError
     where the scale underflows to 0 (u below about 7.1e-5 at a1 ~ 0.33).
     """
-    if not u > 0:
-        raise DomainError("coupling must be positive")
-    radicand = 4.0 * PI_SQUARED / u + a1
-    if radicand < 0:
-        raise DomainError(f"negative radicand {radicand} in asymptotic exponent")
-    scale = 32.0 / (math.pi * math.exp(-EULER_GAMMA)) * math.exp(-math.sqrt(radicand))
+    scale = 32.0 / _BCS_RATIO * math.exp(-_asymptotic_exponent(u, a1))
     if scale == 0.0:
         raise ConvergenceError(f"Neel scale underflows to 0 at u = {u}")
     return scale
@@ -249,8 +257,7 @@ def gap_ratio_expansion(u, a1, b1):
     """
     if not u > 0:
         raise DomainError("coupling must be positive")
-    e_mg = math.exp(-EULER_GAMMA)
-    return math.pi * e_mg + 0.25 * e_mg * (a1 - b1) * math.sqrt(u)
+    return _BCS_RATIO + 0.25 * math.exp(-EULER_GAMMA) * (a1 - b1) * math.sqrt(u)
 
 
 @dataclass(frozen=True)
@@ -287,7 +294,7 @@ def constants_report(cfg=DEFAULT_CONFIG):
         a0_exact=a0e,
         b1=b1,
         a1=a1,
-        gap_ratio_leading=math.pi * math.exp(-EULER_GAMMA),
+        gap_ratio_leading=_BCS_RATIO,
         gap_ratio_slope=0.25 * math.exp(-EULER_GAMMA) * a1,
         sech_integral=sech,
         deviations=deviations,

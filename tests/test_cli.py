@@ -208,6 +208,22 @@ class TestRegularize:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s_values", [
+        "512,511,510,509",
+        "198.91617417580483,3.0,422.8497936940633,171.18859076015428",
+    ])
+    def test_fit_overflow_exits_3(self, s_values, capsys):
+        # every J1 is finite (up to 1e304), but s^2 J1 overflows in the first
+        # grid and the squared fit residual in the second
+        code, out, err = run_cli(["regularize", "--s-values", s_values,
+                                  "--format", "json"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: Laurent fit") and err.count("\n") == 1
+        assert "overflow" in err
+        assert str(sorted(map(float, s_values.split(",")), reverse=True)) in err
+
 
 class TestRatio:
     def test_rows(self, capsys):

@@ -128,6 +128,27 @@ class TestGapRhs:
             gap_rhs(0.0, CFG)
 
 
+class TestBracket:
+    # gap_solve never lowers its bracket's lower end guess/4 < 8: f(guess/4)
+    # > 0 holds while rhs - ln^2(32/Delta)/(4 pi^2) > -ln^2(4)/(4 pi^2) =
+    # -0.0487, and the measured minimum of that difference is -3.24e-4
+    def test_rhs_above_leading_term(self):
+        grid = np.concatenate([np.geomspace(1e-300, 8.0, 400),
+                               np.linspace(0.01, 8.0, 200)])
+        lowest = min(gap_rhs(float(d), CFG) - math.log(32.0 / d) ** 2 / FOUR_PI_SQ
+                     for d in grid)
+        assert -1e-3 < lowest < 0.0
+
+    @pytest.mark.parametrize("u", np.geomspace(0.1, 1000.0, 9).tolist())
+    def test_lower_end_is_quarter_guess(self, u):
+        solution = gap_solve(GapParams(u=u), CFG)
+        guess = delta_asymptotic(u)
+        assert solution.bracket[0] == 0.25 * guess
+        # the upper end is 4 guess, grown by whole factors of 4
+        growth = math.log(solution.bracket[1] / (4.0 * guess), 4.0)
+        assert growth == pytest.approx(round(growth), abs=1e-9)
+
+
 class TestGapSolve:
     @pytest.mark.parametrize("u", sorted(DELTA_FROZEN))
     def test_frozen_roots(self, u):

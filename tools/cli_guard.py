@@ -41,8 +41,12 @@ INVOCATIONS = [
     ("regularize", "--s-values", "0.05,0.4,0.1,0.2,0.1,0.025", "--format", "json"),
     ("ratio", "--u-values", "0.1,0.04,0.01"),
     ("ratio", "--u-values", "0.2,0.05", "--format", "json"),
+    # the upper bracket end grows by 4 twice (solve) and 0, 1, 3 times (sweep)
+    ("solve", "--u", "1000"),
+    ("sweep", "--u-min", "100", "--u-max", "5000", "--points", "3", "--log-spacing"),
     # exit 2
     ("solve", "--u", "-1"),
+    ("solve", "--u", "1e-5"),  # the asymptotic guess underflows to 0
     ("regularize", "--s-values", "0.4,0.2,-0.1,0.05"),
     ("regularize", "--s-values", "0.4,0.2,0.1"),
     ("ratio", "--u-values", "0.1,abc"),
@@ -50,6 +54,8 @@ INVOCATIONS = [
     ("dos", "--points", "3", "--eps-min", "-1", "--eps-max", "1"),
     # exit 3
     ("constants", *STRICT),
+    ("solve", "--u", "0.05"),  # absolute residual gate
+    ("solve", "--u", "1e300"),  # relative residual gate
     ("ratio", "--u-values", "0.1", *STRICT),
     ("regularize", "--s-values", "0.4,0.2,0.1,0.05", *STRICT),
     # help text of every command that takes quadrature tolerances
