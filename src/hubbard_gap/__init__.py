@@ -11,7 +11,7 @@ from .gap import (AsymptoticComparison, GapParams, GapSolution,
                   gap_solve, i1_closed, i1_small_delta, i2_numeric)
 from .oracles import (cosine_power_quadrature, dos_pushforward_oracle,
                       dos_value_quadrature, gap_rhs_sinh, i1_quadrature,
-                      j2_quadrature, sech_log2_integral_direct)
+                      i2_quadrature, j2_quadrature, sech_log2_integral_direct)
 from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, QuadratureConfig
 from .renorm import (ConstantsReport, EULER_GAMMA, LaurentFit,
                      RegularizedLimit, a0_exact, a0_numeric, a1_constant,

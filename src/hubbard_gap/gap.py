@@ -18,11 +18,15 @@ right side into
 where I1 carries the log singularity against the square-root kernel and
 has an exact dilogarithm closed form, while I2 is a doubly subtracted
 remainder, regular at eps = 0 and vanishing like Delta^2 (ln Delta)^2.
-That split is the one production route, ``gap_rhs``.  Two independent
-reference routes live in ``hubbard_gap.oracles``: a hyperbolic
-substitution of the unsplit integral (``gap_rhs_sinh``) and the raw
-Brillouin-zone double integral (``dos_pushforward_oracle``); the test
-suite holds all three together.
+That split is the one production route, ``gap_rhs``, and it runs no
+quadrature: I2 comes from frozen expansions (``i2_numeric``), its Mellin
+residue series below the band edge, a Chebyshev interpolant across it
+and the moment series above it.  Three independent reference routes live
+in ``hubbard_gap.oracles``: the quadrature of I2 (``i2_quadrature``), a
+hyperbolic substitution of the unsplit integral (``gap_rhs_sinh``) and
+the raw Brillouin-zone double integral (``dos_pushforward_oracle``); the
+test suite holds them together.  The root search ``_brent`` is Brent's
+method, step for step the one of ``scipy.optimize.brentq``.
 
 For small coupling, Delta(u) approaches 32 exp(-2 pi / sqrt(u)) with a
 relative error of order exp(-4 pi / sqrt(u)) / sqrt(u).
@@ -31,18 +35,61 @@ relative error of order exp(-4 pi / sqrt(u)) / sqrt(u).
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
-from .dos import dos_log_subtracted
+from ._i2_tables import CHEB_BAND, CHEB_COEFFICIENTS, RESIDUE_TRIPLES
 from .errors import ConvergenceError, DomainError
-from .quadrature import DEFAULT_CONFIG, adaptive_quad
+from .quadrature import DEFAULT_CONFIG
 from .renorm import _asymptotic_exponent, a0_exact
-from .specfun import PI_SQUARED, dilog
+from .specfun import PI_SQUARED, TWO_PI_SQUARED, dilog
 
 #: target on |1/u - rhs(Delta)| and on u |1/u - rhs(Delta)| for every
 #: returned solution; at strong coupling 1/u is so small that the first
 #: alone passes gaps far from the root
 RESIDUAL_TOL = 1e-12
+
+#: ``i2_numeric`` sums the residue series up to the Chebyshev band and the
+#: moment series from its upper end on
+_RESIDUE_MAX, _MOMENT_MIN = CHEB_BAND
+
+#: terms of each large-gap series; at Delta = 6 the sums stop after about 45
+_MOMENT_TERMS = 64
+
+#: Brent steps before ``_brent`` gives up, the default of ``brentq``
+_BRENT_MAXITER = 100
+
+
+def _moment_coefficients():
+    """The Delta^-(2n+1) coefficients, n < _MOMENT_TERMS, of the large-gap
+    series of I1 and of I2 + a0: binom(-1/2, n) J2(2n+1) and binom(-1/2, n)
+    [M(2n+1) - J2(2n+1)], with M(2n+1) = C(2n, n)^2/2 the DOS moment and
+    J2(m) = 4^m (ln 4/m + 1/m^2)/(2 pi^2) the moment of its log part."""
+    ln4 = math.log(4.0)
+    i1, i2 = [], []
+    for n in range(_MOMENT_TERMS):
+        m = 2 * n + 1
+        central = math.comb(2 * n, n)
+        binomial = (-1) ** n * (central / 4 ** n)
+        log_moment = 4.0 ** m * (ln4 / m + 1.0 / (m * m)) / TWO_PI_SQUARED
+        i1.append(binomial * log_moment)
+        i2.append(binomial * (central * central / 2 - log_moment))
+    return tuple(i1), tuple(i2)
+
+
+_I1_MOMENTS, _I2_MOMENTS = _moment_coefficients()
+
+
+def _moment_series(coefficients, delta, total):
+    """total + sum_n c_n Delta^-(2n+1) for Delta >= 6, an alternating series
+    whose terms shrink like (4/Delta)^(2n), stopped once a term drops below
+    1e-17 of the sum."""
+    inverse = 1.0 / delta
+    square = inverse * inverse
+    for c in coefficients:
+        term = c * inverse
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+        inverse *= square
+    return total
 
 
 @dataclass(frozen=True)
@@ -67,7 +114,7 @@ class GapSolution:
     """A solved gap with solver diagnostics.
 
     ``residual`` is |1/u - rhs| in the units of the original equation;
-    ``bracket`` is the interval handed to ``brentq``; its lower end is guess/4.
+    ``bracket`` is the interval handed to ``_brent``; its lower end is guess/4.
     """
 
     delta: float
@@ -97,9 +144,16 @@ def i1_closed(delta):
     -Delta^2/(8 (4 + sqrt(Delta^2+16))).  Without these rewrites the small
     gap regime loses ~1e-9 absolute, an order above what the quadrature
     cross-check resolves.
+
+    From Delta = 6 on, where the closed form's terms of size ln^2(Delta)
+    cancel down to a value near 0.35/Delta (a relative error of 2e-12 at
+    Delta = 2500), the convergent moment series
+    sum_n binom(-1/2, n) J2(2n+1) Delta^-(2n+1) is summed instead.
     """
     if not delta > 0:
         raise DomainError("gap must be positive")
+    if delta >= _MOMENT_MIN:
+        return _moment_series(_I1_MOMENTS, delta, 0.0)
     root = math.hypot(delta, 4.0)
     log_delta = math.log(delta)
     log_root4 = math.log(root + 4.0)
@@ -125,35 +179,64 @@ def i1_small_delta(delta):
     return (math.log(32.0) - math.log(delta)) ** 2 / (4.0 * PI_SQUARED) - a0_exact()
 
 
-def i2_numeric(delta, cfg=DEFAULT_CONFIG):
-    """Doubly subtracted remainder integral I2(Delta).
+def _i2_residue(delta):
+    """I2 for Delta <= 2.5: sum_k Delta^(2k) (alpha_k L^2 + beta_k L + gamma_k),
+    L = ln Delta, stopped once a term drops below 1e-17 of the sum (the
+    terms shrink at least like (Delta/4)^(2k), and no quadratic in L has a
+    real root)."""
+    log_delta = math.log(delta)
+    square = delta * delta
+    power = 1.0
+    total = 0.0
+    for alpha, beta, gamma in RESIDUE_TRIPLES:
+        power *= square
+        term = power * ((alpha * log_delta + beta) * log_delta + gamma)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return total
 
-    Integrand (N0 - ln(16/eps)/(2 pi^2)) (1/sqrt(Delta^2+eps^2) - 1/eps);
-    the kernel difference is evaluated as
-    -Delta^2 / (eps sqrt(Delta^2+eps^2) (eps + sqrt(Delta^2+eps^2))) so no
-    cancellation occurs for eps >> Delta.  The integrand is O(eps ln eps)
-    near zero, hence regular.  |I2| stays below a constant times
-    Delta^2 (ln Delta)^2 for gaps within the band.
+
+def _i2_chebyshev(delta):
+    """I2 for 2.5 < Delta < 6: Clenshaw's recurrence on the Chebyshev table."""
+    lo, hi = CHEB_BAND
+    x = (2.0 * delta - (lo + hi)) / (hi - lo)
+    b1 = b2 = 0.0
+    for c in reversed(CHEB_COEFFICIENTS[1:]):
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return CHEB_COEFFICIENTS[0] + x * b1 - b2
+
+
+def i2_numeric(delta, cfg=DEFAULT_CONFIG):
+    """Doubly subtracted remainder integral I2(Delta), from frozen expansions.
+
+    I2 = int_0^4 (N0 - ln(16/eps)/(2 pi^2)) (1/sqrt(Delta^2+eps^2) - 1/eps) d(eps)
+    is regular at eps = 0 and vanishes like Delta^2 (ln Delta)^2.  Three
+    branches, each within 2e-16 absolute of the integral:
+
+    - Delta <= 2.5: the Mellin residue series at z = -2k, k = 1 .. 48
+      (``tools/i2_tables.py`` derives it), convergent for Delta < 4;
+    - 2.5 < Delta < 6: a degree-27 Chebyshev interpolant;
+    - Delta >= 6: the moment series -a0 + sum_n binom(-1/2, n)
+      Delta^-(2n+1) [M(2n+1) - J2(2n+1)], convergent for Delta > 4.
+
+    ``cfg`` reaches no integral; ``oracles.i2_quadrature`` is the
+    quadrature of the same integral.
     """
     if not delta > 0:
         raise DomainError("gap must be positive")
-
-    def integrand(e):
-        if e <= 0.0:
-            return 0.0
-        rt = math.hypot(delta, e)
-        kernel = -delta * delta / (e * rt * (e + rt))
-        return dos_log_subtracted(e) * kernel
-
-    return adaptive_quad(integrand, 0.0, 4.0, cfg, "subtracted gap remainder")
+    if delta <= _RESIDUE_MAX:
+        return _i2_residue(delta)
+    if delta < _MOMENT_MIN:
+        return _i2_chebyshev(delta)
+    return _moment_series(_I2_MOMENTS, delta, -a0_exact())
 
 
 def gap_rhs(delta, cfg=DEFAULT_CONFIG):
     """Right-hand side of the gap equation at unit hopping.
 
     Assembles a0 + I1 closed form + I2, which stays accurate at small
-    gaps, where the numerically integrated piece is itself
-    O(Delta^2 ln^2 Delta).
+    gaps, where the remainder I2 is itself O(Delta^2 ln^2 Delta).
     """
     return a0_exact() + i1_closed(delta) + i2_numeric(delta, cfg)
 
@@ -163,13 +246,94 @@ def delta_asymptotic(u, b1=0.0):
     return 32.0 * math.exp(-_asymptotic_exponent(u, b1))
 
 
+# _brent is a line-for-line port of scipy/optimize/Zeros/brentq.c.
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.  Used under scipy's BSD 3-Clause license
+# (SPDX-License-Identifier: BSD-3-Clause); its full text ships with scipy.
+def _brent(f, xa, xb, xtol, rtol):
+    """Root of ``f`` in [xa, xb], where f changes sign, by Brent's method.
+
+    Takes the steps of ``scipy.optimize.brentq``, makes the same calls and
+    returns the same root; it stops once half the bracket is below
+    (xtol + rtol |x|)/2.  Raises ConvergenceError where ``brentq`` raises:
+    no sign change, a NaN value, or ``_BRENT_MAXITER`` steps without
+    convergence.
+    """
+    def call(x):
+        value = f(x)
+        if math.isnan(value):
+            raise ConvergenceError(f"root search: f({x!r}) is NaN")
+        return value
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ConvergenceError(
+            f"root search: f({xa!r}) and f({xb!r}) have the same sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            last = abs(spre)
+            room = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (last if last < room else room):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ConvergenceError(
+        f"root search: no convergence after {_BRENT_MAXITER} steps, at {xcur!r}")
+
+
+def _signbit(x):
+    return math.copysign(1.0, x) < 0.0
+
+
 def gap_solve(params, cfg=DEFAULT_CONFIG):
     """Solve the gap equation for the given coupling and hopping.
 
     Works at unit hopping with the reduced coupling u/t and rescales the
     root afterwards.  The bracket runs from a quarter of the asymptotic
-    guess to four times it, the upper end growing by 4 until rhs < 1/u;
-    ``brentq`` finds the root, unique as the right side decreases strictly.
+    guess to four times it, the upper end growing by 4 until rhs < 1/u
+    (a bracket that reaches infinity raises ConvergenceError);
+    ``_brent`` finds the root, unique as the right side decreases strictly.
     """
     u_eff = params.u / params.t
     inv_u = 1.0 / u_eff
@@ -184,8 +348,10 @@ def gap_solve(params, cfg=DEFAULT_CONFIG):
     lo, hi = 0.25 * guess, 4.0 * guess
     f_lo, f_hi = f(lo), f(hi)
     # f(guess/4) > 0 needs rhs - ln^2(32/Delta)/(4 pi^2) > -ln^2(4)/(4 pi^2)
-    # = -0.0487 at Delta = guess/4 < 8, where its minimum is -3.24e-4
-    while f_hi >= 0.0:
+    # = -0.0487 at Delta = guess/4 < 8, where its minimum is -3.24e-4.
+    # The right side is 0 in floating point from Delta ~ 1e20 on, so an
+    # infinite u/t (1/u = 0) never turns f negative: stop at hi = inf.
+    while f_hi >= 0.0 and hi < math.inf:
         hi *= 4.0
         f_hi = f(hi)
     if not (f_lo > 0.0 > f_hi):
@@ -193,7 +359,7 @@ def gap_solve(params, cfg=DEFAULT_CONFIG):
             f"gap bracket failure on [{lo:.3e}, {hi:.3e}] "
             f"(f = {f_lo:.3e}, {f_hi:.3e}) at u/t = {u_eff}")
 
-    root = brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16)
+    root = _brent(f, lo, hi, xtol=1e-18, rtol=8.9e-16)
     residual = abs(f(root)) / params.t
     for label, value in (("gap residual", residual),
                          ("relative gap residual", residual * params.u)):

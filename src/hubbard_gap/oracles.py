@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .dos import BAND_EDGE, DELTA_SPLIT, dos_value_elliptic
+from .dos import (BAND_EDGE, DELTA_SPLIT, dos_log_subtracted,
+                  dos_value_elliptic)
 from .errors import ConvergenceError, DomainError
 from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, adaptive_quad
 from .renorm import SECH_CUTOFF
@@ -122,6 +123,28 @@ def i1_quadrature(delta, cfg=DEFAULT_CONFIG):
     smooth_part = adaptive_quad(smooth, 0.0, v_max, cfg, "log-kernel integral")
     log_sinh_integral = v_max * math.log(v_max) - v_max + smooth_part
     return (math.log(16.0 / delta) * v_max - log_sinh_integral) / TWO_PI_SQUARED
+
+
+def i2_quadrature(delta, cfg=DEFAULT_CONFIG):
+    """Quadrature companion of ``gap.i2_numeric``, free of its frozen tables.
+
+    Integrand (N0 - ln(16/eps)/(2 pi^2)) (1/sqrt(Delta^2+eps^2) - 1/eps);
+    the kernel difference is evaluated as
+    -Delta^2 / (eps sqrt(Delta^2+eps^2) (eps + sqrt(Delta^2+eps^2))) so no
+    cancellation occurs for eps >> Delta.  The integrand is O(eps ln eps)
+    near zero, hence regular.
+    """
+    if not delta > 0:
+        raise DomainError("gap must be positive")
+
+    def integrand(e):
+        if e <= 0.0:
+            return 0.0
+        rt = math.hypot(delta, e)
+        kernel = -delta * delta / (e * rt * (e + rt))
+        return dos_log_subtracted(e) * kernel
+
+    return adaptive_quad(integrand, 0.0, 4.0, cfg, "subtracted gap remainder")
 
 
 def gap_rhs_sinh(delta, cfg=DEFAULT_CONFIG):

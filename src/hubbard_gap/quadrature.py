@@ -4,8 +4,6 @@ under, and ``adaptive_quad``, the one code that maps it onto QUADPACK."""
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import ConvergenceError, DomainError
 
 #: fixed default seed of the Monte Carlo guard, for reproducible runs
@@ -42,7 +40,11 @@ def adaptive_quad(f, a, b, cfg, name):
     Raises ConvergenceError, naming the integral, when the result is not
     finite or QUADPACK flags a failure whose error estimate sits far above
     the requested tolerance.  Roundoff warnings within tolerance pass.
+    ``scipy.integrate`` is imported here, on first use, so that the gap
+    solve, which runs no quadrature, never loads it.
     """
+    from scipy.integrate import quad
+
     out = quad(f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
                limit=cfg.max_depth, full_output=1)
     value, abserr = out[0], out[1]

@@ -10,8 +10,9 @@ import hubbard_gap
 from hubbard_gap import cli, dos, gap, oracles, quadrature, renorm, specfun
 
 REFERENCE_ROUTES = ("dos_value_quadrature", "dos_pushforward_oracle",
-                    "i1_quadrature", "j2_quadrature", "gap_rhs_sinh",
-                    "sech_log2_integral_direct", "cosine_power_quadrature")
+                    "i1_quadrature", "i2_quadrature", "j2_quadrature",
+                    "gap_rhs_sinh", "sech_log2_integral_direct",
+                    "cosine_power_quadrature")
 
 
 @pytest.mark.parametrize("name", REFERENCE_ROUTES)

@@ -1,0 +1,124 @@
+"""The gap solve runs without ``scipy.integrate`` and ``scipy.optimize``.
+
+``gap_solve`` finds its root with ``gap._brent``, a port of
+``scipy.optimize.brentq``; the tests pin the port against scipy itself
+(imported here only) and check in a fresh interpreter that a solve loads
+neither scipy module, while a command that integrates loads ``quad`` on
+first use.  A coupling ratio that overflows ends the bracket search with
+an error instead of growing the bracket forever.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+import hubbard_gap
+from hubbard_gap import (ConvergenceError, GapParams, delta_asymptotic,
+                         gap_rhs, gap_solve)
+from hubbard_gap import gap
+from hubbard_gap.gap import _brent
+
+HEAVY = ("scipy.integrate", "scipy.optimize")
+
+#: a fresh interpreter finds the package where this one does
+SRC = str(Path(hubbard_gap.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def test_solve_loads_neither_integrate_nor_optimize():
+    code = "\n".join([
+        "import sys",
+        "import hubbard_gap",
+        "from hubbard_gap import GapParams, cli, gap_solve, quadrature",
+        "gap_solve(GapParams(1.0))",
+        "assert cli.main(['solve', '--u', '1']) == 0",
+        f"print('loaded', sorted(m for m in {HEAVY!r} if m in sys.modules))",
+        "print('quad bound', hasattr(quadrature, 'quad'))",
+        "assert cli.main(['constants']) == 0",
+        "print('quad loaded', 'scipy.integrate' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120, env=ENV)
+    # the command tables go to the same stdout; keep the labelled lines
+    lines = [line for line in done.stdout.splitlines()
+             if line.startswith(("loaded", "quad"))]
+    assert lines == ["loaded []",
+                     "quad bound False",  # bound inside adaptive_quad only
+                     "quad loaded True"]  # constants integrates
+
+
+def test_overflowing_coupling_ratio_exits_3():
+    # u/t = inf makes 1/u = 0, and the right side is 0 in floating point
+    # from Delta ~ 1e20 on, so f never turns negative on the way up
+    with pytest.raises(ConvergenceError, match="bracket failure"):
+        gap_solve(GapParams(1e300, 1e-10))
+    done = subprocess.run(
+        [sys.executable, "-m", "hubbard_gap", "solve",
+         "--u", "1e300", "--t", "1e-10"],
+        capture_output=True, text=True, timeout=60, env=ENV)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: gap bracket failure")
+
+
+def counted(f):
+    def wrapper(x):
+        wrapper.calls.append(x)
+        return f(x)
+    wrapper.calls = []
+    return wrapper
+
+
+def solve_both(f, a, b, **tolerances):
+    ours, theirs = counted(f), counted(f)
+    root = _brent(ours, a, b, **tolerances)
+    reference = brentq(theirs, a, b, **tolerances)
+    return (root, ours.calls), (reference, theirs.calls)
+
+
+def gap_bracket(u):
+    """The bracket and function of ``gap_solve`` at unit hopping."""
+    f = lambda delta: gap_rhs(delta) - 1.0 / u
+    guess = delta_asymptotic(u)
+    lo, hi = 0.25 * guess, 4.0 * guess
+    while f(hi) >= 0.0:
+        hi *= 4.0
+    return f, lo, hi
+
+
+@pytest.mark.parametrize("u", np.geomspace(1e-4, 1e4, 40).tolist())
+def test_brent_steps_like_brentq_on_gap_solve(u):
+    f, lo, hi = gap_bracket(u)
+    ours, theirs = solve_both(f, lo, hi, xtol=1e-18, rtol=8.9e-16)
+    assert ours == theirs  # same root, same abscissae in the same order
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x ** 3, -1.0, 3.0),
+], ids=["sqrt2", "cos-cubic"])
+@pytest.mark.parametrize("xtol", [2e-12, 1e-300])
+def test_brent_steps_like_brentq_on_analytic_functions(f, a, b, xtol):
+    ours, theirs = solve_both(f, a, b, xtol=xtol, rtol=4 * np.finfo(float).eps)
+    assert ours == theirs
+
+
+def test_brent_raises_where_brentq_raises(monkeypatch):
+    f = lambda x: x * x + 1.0
+    with pytest.raises(ValueError):
+        brentq(f, 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match="same sign"):
+        _brent(f, 0.0, 1.0, xtol=2e-12, rtol=8.9e-16)
+    slow = lambda x: math.copysign(1.0, x - 1.0 / 3.0)  # a sign step
+    with pytest.raises(RuntimeError):
+        brentq(slow, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16, maxiter=3)
+    monkeypatch.setattr(gap, "_BRENT_MAXITER", 3)
+    with pytest.raises(ConvergenceError, match="after 3 steps"):
+        _brent(slow, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16)
