@@ -13,9 +13,9 @@ from .oracles import (cosine_power_quadrature, dos_pushforward_oracle,
                       dos_value_quadrature, gap_rhs_sinh, i1_quadrature,
                       i2_quadrature, j2_quadrature, sech_log2_integral_direct)
 from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, QuadratureConfig
-from .renorm import (ConstantsReport, EULER_GAMMA, LaurentFit,
+from .renorm import (BCS_RATIO, ConstantsReport, EULER_GAMMA, LaurentFit,
                      RegularizedLimit, a0_exact, a0_numeric, a1_constant,
-                     a1_minus_b1, b1_constant, constants_report,
+                     a1_exact, a1_minus_b1, b1_constant, constants_report,
                      fit_laurent, gap_ratio_expansion, j2_closed,
                      mellin_difference, neel_asymptotic, regularized_limit,
                      richardson_extrapolate, sech_log2_integral)

@@ -14,24 +14,33 @@ CSV output is RFC-4180 style with a header row, LF line endings, and
 every numeric cell printed with 12 significant digits; JSON output keeps
 Python's shortest round-trip float form.  Identical arguments (including
 --seed) produce byte-identical files.
+
+Only ``constants`` and ``regularize`` integrate, so only they take the
+quadrature tolerances, and only they load ``scipy.integrate``.  ``solve``,
+``ratio`` and a linear ``sweep`` run on ``math`` alone: the linear grid is
+``_linspace``, numpy's ``linspace`` arithmetic written out, and ``ratio``
+reads the exact ``a1``.  ``sweep --log-spacing`` keeps ``numpy.geomspace``,
+imported in that branch: its powers go through numpy's ``power``, which
+differs from the C library's ``pow`` in the last bit on some exponents, so
+no pure-Python grid reproduces it.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .dos import dos_asymptotic, dos_moment_exact, dos_value
 from .errors import ConvergenceError, DomainError
 from .gap import GapParams, asymptotic_comparison, delta_asymptotic, gap_solve
 from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, QuadratureConfig
-from .renorm import (constants_report, gap_ratio_expansion, j2_closed,
-                     neel_asymptotic, regularized_limit)
+from .renorm import (BCS_RATIO, a1_exact, constants_report,
+                     gap_ratio_expansion, j2_closed, neel_asymptotic,
+                     regularized_limit)
 
 
 def _fmt(value):
@@ -85,8 +94,28 @@ def _parse_positive_list(raw, what):
     return values
 
 
-def _grid(args, lo, hi, name, spacing=np.linspace):
-    """The ``args.points`` grid on [lo, hi], validated before numpy sees it."""
+def _linspace(start, stop, num):
+    """``numpy.linspace(start, stop, num)`` as a list, bit for bit: the same
+    products, the same branch for a step that underflows to 0, and the
+    last point set to ``stop``."""
+    div = num - 1
+    delta = stop - start
+    if div > 0:
+        step = delta / div
+        if step == 0:
+            points = [k / div * delta for k in range(num)]
+        else:
+            points = [k * step for k in range(num)]
+    else:
+        points = [k * delta for k in range(num)]
+    points = [start + v for v in points]
+    if num > 1:
+        points[-1] = stop
+    return points
+
+
+def _grid(args, lo, hi, name, spacing=_linspace):
+    """The ``args.points`` grid on [lo, hi], validated before it is built."""
     if args.points < 1:
         raise DomainError("points must be positive")
     if not 0 < lo <= hi:
@@ -96,8 +125,8 @@ def _grid(args, lo, hi, name, spacing=np.linspace):
     return [float(v) for v in spacing(lo, hi, args.points)]
 
 
-def cmd_solve(args, cfg):
-    solution = gap_solve(GapParams(u=args.u, t=args.t), cfg)
+def cmd_solve(args):
+    solution = gap_solve(GapParams(u=args.u, t=args.t))
     asym = args.t * delta_asymptotic(args.u / args.t)
     record = {
         "u": args.u,
@@ -113,9 +142,12 @@ def cmd_solve(args, cfg):
     _emit(record, [record], args)
 
 
-def cmd_sweep(args, cfg):
-    spacing = np.geomspace if args.log_spacing else np.linspace
-    rows = [asdict(asymptotic_comparison(u, cfg))
+def cmd_sweep(args):
+    if args.log_spacing:
+        from numpy import geomspace as spacing  # see the module docstring
+    else:
+        spacing = _linspace
+    rows = [asdict(asymptotic_comparison(u))
             for u in _grid(args, args.u_min, args.u_max, "u", spacing)]
     _emit({"rows": rows}, rows, args)
 
@@ -178,18 +210,19 @@ def cmd_regularize(args, cfg):
     _emit(payload, rows, args)
 
 
-def cmd_ratio(args, cfg):
+def cmd_ratio(args):
     u_values = _parse_positive_list(args.u_values, "u")
-    report = constants_report(cfg)
+    a1 = a1_exact()  # and b1 = 0 exactly
     rows = [{"u": u,
-             "ratio_two_term": gap_ratio_expansion(u, report.a1, report.b1),
+             "ratio_two_term": gap_ratio_expansion(u, a1, 0.0),
              "ratio_from_asymptotics":
-                 delta_asymptotic(u, report.b1) / neel_asymptotic(u, report.a1),
-             "leading": report.gap_ratio_leading}
+                 delta_asymptotic(u) / neel_asymptotic(u, a1),
+             "leading": BCS_RATIO}
             for u in u_values]
     _emit({"rows": rows}, rows, args)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser():
     tolerances = argparse.ArgumentParser(add_help=False)
     tolerances.add_argument(
@@ -213,13 +246,13 @@ def build_parser():
                     "Hubbard model: solver, constants, and validation tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[tolerances, output],
+    p = sub.add_parser("solve", parents=[output],
                        help="solve the gap equation at one (u, t)")
     p.add_argument("--u", type=float, required=True, help="on-site coupling")
     p.add_argument("--t", type=float, default=1.0, help="hopping (default 1)")
     p.set_defaults(run=cmd_solve)
 
-    p = sub.add_parser("sweep", parents=[tolerances, output],
+    p = sub.add_parser("sweep", parents=[output],
                        help="gap vs asymptotic form over a coupling grid")
     p.add_argument("--u-min", type=float, required=True)
     p.add_argument("--u-max", type=float, required=True)
@@ -233,6 +266,7 @@ def build_parser():
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
+    p.set_defaults(run=cmd_dos)
 
     p = sub.add_parser("constants", parents=[tolerances, output],
                        help="derived constants with deviation diagnostics")
@@ -246,7 +280,7 @@ def build_parser():
                    help="comma-separated positive s grid (at least 4 values)")
     p.set_defaults(run=cmd_regularize)
 
-    p = sub.add_parser("ratio", parents=[tolerances, output],
+    p = sub.add_parser("ratio", parents=[output],
                        help="gap ratio expansion table")
     p.add_argument("--u-values", required=True,
                    help="comma-separated positive couplings")
@@ -258,12 +292,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "dos":  # the one command that integrates nothing
-            cmd_dos(args)
-        else:
+        if args.command in ("constants", "regularize"):  # the two that integrate
             args.run(args, QuadratureConfig(rel_tol=args.rel_tol,
                                             abs_tol=args.abs_tol,
                                             max_depth=args.max_depth))
+        else:
+            args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,12 @@ The production route (``dos_value``; integrands call
 ``dos_value_elliptic``) is the level-set reduction of the Brillouin-zone
 integral in closed form, N0(eps) = K(m) / (pi^2 (1 + eps/4)) with
 elliptic parameter m = ((4 - eps)/(4 + eps))^2, evaluated through
-``ellipkm1`` so that the m -> 1 regime (eps -> 0) keeps full precision.
+scipy's ``ellipkm1`` so that the m -> 1 regime (eps -> 0) keeps full
+precision.  ``scipy.special`` is imported on the first DOS point, not with
+the module, so that commands which evaluate no DOS point start without
+it.  The ufunc stays in place of a pure-Python AGM, which takes three to
+five times as long a point, because the moment integrals behind
+``constants`` and ``regularize`` make thousands of calls.
 Two independent reference routes live in ``hubbard_gap.oracles``: the
 level-set reduction by adaptive quadrature (``dos_value_quadrature``)
 and the defining two-dimensional integral with a Monte Carlo guard
@@ -29,8 +34,6 @@ All functions are pure.
 
 import math
 
-from scipy.special import ellipkm1
-
 from .errors import ConvergenceError, DomainError
 from .quadrature import DEFAULT_CONFIG, adaptive_quad
 from .specfun import PI_SQUARED, TWO_PI_SQUARED, gamma_ratio
@@ -40,6 +43,14 @@ BAND_EDGE = 4.0
 #: below this energy the two-term singular expansion replaces direct
 #: subtraction of the log divergence (remainder O(eps^4 ln) < 1e-15 there)
 DELTA_SPLIT = 1e-3
+
+
+def _ellipkm1(p):
+    """scipy's K(1 - p), imported on first use; the import rebinds this name
+    to the ufunc, so later calls go to it directly."""
+    global _ellipkm1
+    from scipy.special import ellipkm1 as _ellipkm1
+    return _ellipkm1(p)
 
 
 def dos_value_elliptic(epsilon):
@@ -55,7 +66,7 @@ def dos_value_elliptic(epsilon):
         raise DomainError("density of states diverges logarithmically at eps = 0")
     if e >= BAND_EDGE:
         return 0.0
-    return float(ellipkm1(16.0 * e / (4.0 + e) ** 2)) / (PI_SQUARED * (1.0 + 0.25 * e))
+    return float(_ellipkm1(16.0 * e / (4.0 + e) ** 2)) / (PI_SQUARED * (1.0 + 0.25 * e))
 
 
 # kept apart from dos_value_elliptic: benchmarks/tracer.py times this name

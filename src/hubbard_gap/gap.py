@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from ._i2_tables import CHEB_BAND, CHEB_COEFFICIENTS, RESIDUE_TRIPLES
 from .errors import ConvergenceError, DomainError
-from .quadrature import DEFAULT_CONFIG
 from .renorm import _asymptotic_exponent, a0_exact
 from .specfun import PI_SQUARED, TWO_PI_SQUARED, dilog
 
@@ -207,7 +206,7 @@ def _i2_chebyshev(delta):
     return CHEB_COEFFICIENTS[0] + x * b1 - b2
 
 
-def i2_numeric(delta, cfg=DEFAULT_CONFIG):
+def i2_numeric(delta):
     """Doubly subtracted remainder integral I2(Delta), from frozen expansions.
 
     I2 = int_0^4 (N0 - ln(16/eps)/(2 pi^2)) (1/sqrt(Delta^2+eps^2) - 1/eps) d(eps)
@@ -220,8 +219,7 @@ def i2_numeric(delta, cfg=DEFAULT_CONFIG):
     - Delta >= 6: the moment series -a0 + sum_n binom(-1/2, n)
       Delta^-(2n+1) [M(2n+1) - J2(2n+1)], convergent for Delta > 4.
 
-    ``cfg`` reaches no integral; ``oracles.i2_quadrature`` is the
-    quadrature of the same integral.
+    ``oracles.i2_quadrature`` is the quadrature of the same integral.
     """
     if not delta > 0:
         raise DomainError("gap must be positive")
@@ -232,13 +230,13 @@ def i2_numeric(delta, cfg=DEFAULT_CONFIG):
     return _moment_series(_I2_MOMENTS, delta, -a0_exact())
 
 
-def gap_rhs(delta, cfg=DEFAULT_CONFIG):
+def gap_rhs(delta):
     """Right-hand side of the gap equation at unit hopping.
 
     Assembles a0 + I1 closed form + I2, which stays accurate at small
     gaps, where the remainder I2 is itself O(Delta^2 ln^2 Delta).
     """
-    return a0_exact() + i1_closed(delta) + i2_numeric(delta, cfg)
+    return a0_exact() + i1_closed(delta) + i2_numeric(delta)
 
 
 def delta_asymptotic(u, b1=0.0):
@@ -326,7 +324,7 @@ def _signbit(x):
     return math.copysign(1.0, x) < 0.0
 
 
-def gap_solve(params, cfg=DEFAULT_CONFIG):
+def gap_solve(params):
     """Solve the gap equation for the given coupling and hopping.
 
     Works at unit hopping with the reduced coupling u/t and rescales the
@@ -342,7 +340,7 @@ def gap_solve(params, cfg=DEFAULT_CONFIG):
     def f(delta):
         nonlocal evaluations
         evaluations += 1
-        return gap_rhs(delta, cfg) - inv_u
+        return gap_rhs(delta) - inv_u
 
     guess = delta_asymptotic(u_eff)
     lo, hi = 0.25 * guess, 4.0 * guess
@@ -372,9 +370,9 @@ def gap_solve(params, cfg=DEFAULT_CONFIG):
                        evaluations=evaluations)
 
 
-def asymptotic_comparison(u, cfg=DEFAULT_CONFIG):
+def asymptotic_comparison(u):
     """Numeric gap against 32 exp(-2 pi / sqrt(u)) with the error scale."""
-    solution = gap_solve(GapParams(u=u), cfg)
+    solution = gap_solve(GapParams(u=u))
     reference = delta_asymptotic(u)
     return AsymptoticComparison(
         u=u,

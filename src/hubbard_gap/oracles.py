@@ -9,8 +9,6 @@ module calls into this one; the test suite does.
 
 import math
 
-import numpy as np
-
 from .dos import (BAND_EDGE, DELTA_SPLIT, dos_log_subtracted,
                   dos_value_elliptic)
 from .errors import ConvergenceError, DomainError
@@ -57,6 +55,8 @@ def dos_value_quadrature(epsilon, cfg=DEFAULT_CONFIG):
 
 def _mc_values(g, eps):
     """Apply a scalar-or-vectorised test function to sampled energies."""
+    import numpy as np  # only the Monte Carlo guard uses numpy
+
     try:
         arr = np.asarray(g(eps), dtype=float)
         if arr.shape == eps.shape:
@@ -81,6 +81,7 @@ def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG, seed=DEFAULT_MC_SEED):
     disagree beyond their combined error bars; otherwise returns the
     quadrature value.  Deterministic for fixed cfg and seed.
     """
+    import numpy as np
 
     def inner(k1):
         c1 = math.cos(k1)

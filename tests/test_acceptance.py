@@ -69,7 +69,7 @@ def test_criterion_03_moment_identity():
 def test_criterion_04_weak_coupling_asymptotics():
     with reported(4, "weak-coupling gap asymptotics"):
         start = time.perf_counter()
-        comparisons = [asymptotic_comparison(u, CFG)
+        comparisons = [asymptotic_comparison(u)
                        for u in (2.0, 1.0, 0.5, 0.3)]
         for comp in comparisons:
             print(f"    u={comp.u}: delta={comp.delta_numeric:.10e} "
@@ -99,7 +99,7 @@ def test_criterion_05_i1_closed_form():
 
 def test_criterion_06_i2_bound():
     with reported(6, "subtracted remainder bound"):
-        ratios = [abs(i2_numeric(d, CFG)) / (d * d * math.log(d) ** 2)
+        ratios = [abs(i2_numeric(d)) / (d * d * math.log(d) ** 2)
                   for d in (1e-3, 1e-2, 0.1)]
         # measured ratios stay near 3e-4..7e-4; one constant covers them
         assert max(ratios) < 2e-3
@@ -109,7 +109,7 @@ def test_criterion_07_decomposition():
     with reported(7, "three-piece decomposition"):
         a0 = a0_numeric(CFG)
         for delta in (0.01, 0.1, 1.0):
-            assembled = a0 + i1_closed(delta) + i2_numeric(delta, CFG)
+            assembled = a0 + i1_closed(delta) + i2_numeric(delta)
             direct = gap_rhs_sinh(delta, CFG)
             assert abs(assembled - direct) < 1e-8
 
@@ -173,6 +173,6 @@ def test_criterion_11_dilogarithm_suite():
 def test_criterion_12_scaling_property():
     with reported(12, "hopping rescaling"):
         for u, t in ((1.0, 2.0), (2.0, 0.5), (3.0, 3.0)):
-            scaled = gap_solve(GapParams(u=u, t=t), CFG).delta
-            reference = t * gap_solve(GapParams(u=u / t), CFG).delta
+            scaled = gap_solve(GapParams(u=u, t=t)).delta
+            reference = t * gap_solve(GapParams(u=u / t)).delta
             assert abs(scaled / reference - 1.0) < 1e-10

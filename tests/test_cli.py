@@ -3,14 +3,15 @@ import dataclasses
 import io
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from hubbard_gap import (constants_report, delta_asymptotic,
-                         gap_ratio_expansion, neel_asymptotic,
-                         regularized_limit)
-from hubbard_gap.cli import main
+from hubbard_gap import (BCS_RATIO, a1_exact, constants_report,
+                         delta_asymptotic, gap_ratio_expansion,
+                         neel_asymptotic, regularized_limit)
+from hubbard_gap.cli import _fmt, _linspace, main
 
 
 def run_cli(args, capsys):
@@ -96,6 +97,18 @@ class TestSweep:
                                 "--points", "0"], capsys)
         assert code == 2
         assert "points" in err
+
+    def test_linspace_matches_numpy(self):
+        rng = random.Random(14)
+        cases = [(0.5, 1.0, 1), (0.5, 1.0, 2), (0.3, 0.3, 7),
+                 (5e-324, 1e-323, 400),  # the step underflows to 0
+                 (1e-310, 1e-310 + 5e-324 * 9, 33)]
+        for _ in range(2000):
+            lo = math.exp(rng.uniform(-700.0, 700.0))
+            hi = lo * math.exp(rng.uniform(0.0, 5.0)) if rng.random() < 0.9 else lo
+            cases.append((lo, hi, rng.randrange(1, 200)))
+        for lo, hi, n in cases:
+            assert _linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
 
 
 class TestDos:
@@ -238,19 +251,36 @@ class TestRatio:
                 float(row["ratio_from_asymptotics"]),
                 abs=1e-3 * float(row["u"]))
 
-    def test_rows_use_constants_report(self, capsys):
+    def test_rows_use_exact_a1(self, capsys):
         code, out, _ = run_cli(["ratio", "--u-values", "0.1,0.01",
                                 "--format", "json"], capsys)
         assert code == 0
-        report = constants_report()
         for row, u in zip(json.loads(out)["rows"], [0.1, 0.01]):
             assert row == {
                 "u": u,
-                "ratio_two_term": gap_ratio_expansion(u, report.a1, report.b1),
-                "ratio_from_asymptotics": (delta_asymptotic(u, report.b1)
-                                           / neel_asymptotic(u, report.a1)),
-                "leading": report.gap_ratio_leading,
+                "ratio_two_term": gap_ratio_expansion(u, a1_exact(), 0.0),
+                "ratio_from_asymptotics": (delta_asymptotic(u)
+                                           / neel_asymptotic(u, a1_exact())),
+                "leading": BCS_RATIO,
             }
+
+    def test_csv_unchanged_from_numeric_constants(self, capsys):
+        # the CSV the command printed when it read a1 and b1 from the
+        # quadratures of constants_report, rebuilt row by row
+        rng = random.Random(14)
+        u_values = [math.exp(rng.uniform(math.log(1e-4), math.log(100.0)))
+                    for _ in range(500)]
+        code, out, _ = run_cli(["ratio", "--u-values",
+                                ",".join(map(repr, u_values))], capsys)
+        assert code == 0
+        report = constants_report()
+        lines = ["u,ratio_two_term,ratio_from_asymptotics,leading"]
+        for u in u_values:
+            cells = (u, gap_ratio_expansion(u, report.a1, report.b1),
+                     delta_asymptotic(u, report.b1) / neel_asymptotic(u, report.a1),
+                     report.gap_ratio_leading)
+            lines.append(",".join(map(_fmt, cells)))
+        assert out == "\n".join(lines) + "\n"
 
     def test_two_term_spot(self, capsys):
         _, out, _ = run_cli(["ratio", "--u-values", "0.04"], capsys)
@@ -283,9 +313,16 @@ class TestOutputContract:
         assert delta_cell == format(float(delta_cell), ".12g")
         assert len(delta_cell.lstrip("0.")) >= 11
 
-    @pytest.mark.parametrize("argv", [["solve", "--u", "1", "--seed", "1"],
-                                      ["constants", "--mc-samples", "10"],
-                                      ["dos", "--rel-tol", "1e-8"]])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--u", "1", "--seed", "1"],
+        ["constants", "--mc-samples", "10"],
+        ["dos", "--rel-tol", "1e-8"],
+        # solve, sweep and ratio integrate nothing, so take no tolerances
+        ["solve", "--u", "1", "--rel-tol", "1e-8"],
+        ["sweep", "--u-min", "0.5", "--u-max", "1", "--points", "2",
+         "--abs-tol", "1e-12"],
+        ["ratio", "--u-values", "0.1", "--max-depth", "50"],
+    ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -328,9 +365,9 @@ class TestOutputContract:
         assert f"= {float(argv[-1].split(',')[0])}" in err
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--u", "1", "--rel-tol", "inf", "--abs-tol", "inf"],
+        ["constants", "--rel-tol", "inf", "--abs-tol", "inf"],
         ["constants", "--abs-tol", "nan"],
-        ["ratio", "--u-values", "0.1", "--rel-tol", "0"],
+        ["regularize", "--s-values", "0.4,0.2,0.1,0.05", "--rel-tol", "0"],
     ])
     def test_out_of_range_tolerance_exits_2(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -340,8 +377,7 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("depth", ["0", "2147483648", "100000000000"])
     def test_max_depth_out_of_range_exits_2(self, depth, capsys):
-        code, out, err = run_cli(["solve", "--u", "1", "--max-depth", depth],
-                                 capsys)
+        code, out, err = run_cli(["constants", "--max-depth", depth], capsys)
         assert code == 2
         assert out == ""
         assert "max_depth must be an integer in [1, 2147483647]" in err

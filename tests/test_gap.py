@@ -82,50 +82,50 @@ class TestI1:
 
 class TestI2:
     def test_vanishes_at_tiny_gap(self):
-        assert abs(i2_numeric(1e-4, CFG)) < 1e-6
+        assert abs(i2_numeric(1e-4)) < 1e-6
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1])
     def test_quadratic_log_bound(self, delta):
-        ratio = abs(i2_numeric(delta, CFG)) / (delta ** 2 * math.log(delta) ** 2)
+        ratio = abs(i2_numeric(delta)) / (delta ** 2 * math.log(delta) ** 2)
         assert ratio < I2_RATIO_BOUND
 
     def test_decomposition(self):
         a0 = a0_numeric(CFG)
         for delta in (0.01, 0.1, 1.0):
-            assembled = a0 + i1_closed(delta) + i2_numeric(delta, CFG)
+            assembled = a0 + i1_closed(delta) + i2_numeric(delta)
             assert abs(assembled - gap_rhs_sinh(delta, CFG)) < 1e-8
 
 
 class TestGapRhs:
     def test_strictly_decreasing(self):
         grid = np.geomspace(1e-6, 10.0, 9)
-        values = [gap_rhs(float(d), CFG) for d in grid]
+        values = [gap_rhs(float(d)) for d in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 1.0, 3.9])
     def test_paths_agree(self, delta):
-        assert abs(gap_rhs(delta, CFG) - gap_rhs_sinh(delta, CFG)) < 1e-8
+        assert abs(gap_rhs(delta) - gap_rhs_sinh(delta, CFG)) < 1e-8
 
     def test_brillouin_zone_path(self):
         delta = 0.5
         raw = dos_pushforward_oracle(
             lambda e: 1.0 / (2.0 * np.sqrt(delta * delta + e * e)), CFG)
-        assert raw == pytest.approx(gap_rhs(delta, CFG), rel=1e-6)
+        assert raw == pytest.approx(gap_rhs(delta), rel=1e-6)
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1])
     def test_small_gap_expansion(self, delta):
         # rhs approaches ln^2(Delta/32)/(4 pi^2) at the quadratic-log rate
-        deviation = abs(gap_rhs(delta, CFG)
+        deviation = abs(gap_rhs(delta)
                         - math.log(delta / 32.0) ** 2 / FOUR_PI_SQ)
         assert deviation < 2e-3 * delta ** 2 * math.log(delta) ** 2
 
     def test_near_root_value(self):
         # frozen from the solver (the point sits 4.6e-5 above the root scale)
-        assert gap_rhs(0.0597584, CFG) == pytest.approx(0.999984184154, rel=1e-9)
+        assert gap_rhs(0.0597584) == pytest.approx(0.999984184154, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            gap_rhs(0.0, CFG)
+            gap_rhs(0.0)
 
 
 class TestBracket:
@@ -135,13 +135,13 @@ class TestBracket:
     def test_rhs_above_leading_term(self):
         grid = np.concatenate([np.geomspace(1e-300, 8.0, 400),
                                np.linspace(0.01, 8.0, 200)])
-        lowest = min(gap_rhs(float(d), CFG) - math.log(32.0 / d) ** 2 / FOUR_PI_SQ
+        lowest = min(gap_rhs(float(d)) - math.log(32.0 / d) ** 2 / FOUR_PI_SQ
                      for d in grid)
         assert -1e-3 < lowest < 0.0
 
     @pytest.mark.parametrize("u", np.geomspace(0.1, 1000.0, 9).tolist())
     def test_lower_end_is_quarter_guess(self, u):
-        solution = gap_solve(GapParams(u=u), CFG)
+        solution = gap_solve(GapParams(u=u))
         guess = delta_asymptotic(u)
         assert solution.bracket[0] == 0.25 * guess
         # the upper end is 4 guess, grown by whole factors of 4
@@ -152,23 +152,23 @@ class TestBracket:
 class TestGapSolve:
     @pytest.mark.parametrize("u", sorted(DELTA_FROZEN))
     def test_frozen_roots(self, u):
-        solution = gap_solve(GapParams(u=u), CFG)
+        solution = gap_solve(GapParams(u=u))
         assert solution.delta == pytest.approx(DELTA_FROZEN[u], rel=1e-9)
 
     def test_solution_contract(self):
-        solution = gap_solve(GapParams(u=1.0), CFG)
+        solution = gap_solve(GapParams(u=1.0))
         assert solution.delta > 0
         assert solution.residual < 1e-12
         assert solution.bracket[0] < solution.delta < solution.bracket[1]
         assert solution.evaluations > 0
 
     def test_scaling_property(self):
-        base = gap_solve(GapParams(u=1.0), CFG).delta
-        scaled = gap_solve(GapParams(u=2.0, t=2.0), CFG).delta
+        base = gap_solve(GapParams(u=1.0)).delta
+        scaled = gap_solve(GapParams(u=2.0, t=2.0)).delta
         assert scaled == pytest.approx(2.0 * base, rel=1e-10)
 
     def test_monotone_in_coupling(self):
-        deltas = [gap_solve(GapParams(u=u), CFG).delta
+        deltas = [gap_solve(GapParams(u=u)).delta
                   for u in (0.3, 0.5, 1.0, 2.0, 4.0)]
         assert all(a < b for a, b in zip(deltas, deltas[1:]))
 
@@ -176,7 +176,7 @@ class TestGapSolve:
         # the root found at u = 1e9 is 3.9e-7 off (true gap ~ u/2): its
         # absolute residual 4e-16 passes, its relative residual does not
         with pytest.raises(ConvergenceError, match="relative gap residual"):
-            gap_solve(GapParams(u=1e9), CFG)
+            gap_solve(GapParams(u=1e9))
 
     def test_large_coupling_formal_point(self):
         # radicand 4 pi^2/u = 1 at u = 4 pi^2; asymptotic value is 32/e
@@ -205,7 +205,7 @@ class TestAsymptotic:
         # deviation tracks exp(-4 pi/sqrt(u))/sqrt(u); the minimal single
         # constant covering u in [0.3, 2] is ~18.6 (it grows toward ~8 pi
         # in the weak-coupling limit)
-        comps = [asymptotic_comparison(u, CFG) for u in (2.0, 1.0, 0.5, 0.3)]
+        comps = [asymptotic_comparison(u) for u in (2.0, 1.0, 0.5, 0.3)]
         rel_devs = [c.rel_dev for c in comps]
         assert all(a > b for a, b in zip(rel_devs, rel_devs[1:]))
         ratios = [c.rel_dev / c.bound_scale for c in comps]
@@ -213,7 +213,7 @@ class TestAsymptotic:
         assert min(ratios) > 1.0
 
     def test_frozen_deviations(self):
-        comp = asymptotic_comparison(1.0, CFG)
+        comp = asymptotic_comparison(1.0)
         assert comp.rel_dev == pytest.approx(4.579013e-5, rel=1e-4)
-        comp = asymptotic_comparison(0.5, CFG)
+        comp = asymptotic_comparison(0.5)
         assert comp.rel_dev == pytest.approx(4.505927e-7, rel=1e-3)

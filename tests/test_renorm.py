@@ -1,11 +1,13 @@
 import math
 import sys
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
 from hubbard_gap import (ConvergenceError, DomainError, FitDegeneracyError,
-                         a0_exact, a0_numeric, a1_constant, a1_minus_b1,
+                         a0_exact, a0_numeric, a1_constant, a1_exact,
+                         a1_minus_b1,
                          b1_constant,
                          constants_report, dos_moment, dos_value_quadrature,
                          fit_laurent,
@@ -225,6 +227,24 @@ class TestA1:
     def test_two_routes_coincide(self, a0, sech):
         direct = a1_constant(a0, sech) - b1_constant(a0)
         assert abs(direct - a1_minus_b1(sech)) < 1e-10
+
+    def test_exact_within_half_ulp(self):
+        # the closed form through the first Stieltjes constant, and the
+        # defining combination -4 pi^2 a0 - S + (2 ln 2)^2 + (gamma + 2 ln 2
+        # - ln pi)^2 with S integrated, both at 40 digits
+        with mp.workdps(40):
+            ln2 = mp.log(2)
+            closed = mp.euler ** 2 + 2 * mp.stieltjes(1) + 2 * ln2 ** 2 - mp.pi ** 2 / 12
+            sech = mp.quad(lambda x: mp.log(x) ** 2 / mp.cosh(x) ** 2,
+                           [0, 1, 4, 20, mp.inf])
+            a0 = ln2 ** 2 / mp.pi ** 2 - mp.mpf(1) / 24
+            integral = (-4 * mp.pi ** 2 * a0 - sech + (2 * ln2) ** 2
+                        + (mp.euler + 2 * ln2 - mp.log(mp.pi)) ** 2)
+            half_ulp = math.ulp(a1_exact()) / 2
+            for reference in (closed, integral):
+                assert abs(mp.mpf(a1_exact()) - reference) <= half_ulp
+        assert a1_exact() == pytest.approx(
+            a1_constant(a0_exact(), sech_log2_integral(CFG)), abs=1e-13)
 
 
 class TestNeel:

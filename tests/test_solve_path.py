@@ -4,8 +4,10 @@
 ``scipy.optimize.brentq``; the tests pin the port against scipy itself
 (imported here only) and check in a fresh interpreter that a solve loads
 neither scipy module, while a command that integrates loads ``quad`` on
-first use.  A coupling ratio that overflows ends the bracket search with
-an error instead of growing the bracket forever.
+first use.  Neither ``import hubbard_gap`` nor the commands ``solve``,
+``ratio`` and a linear ``sweep`` load numpy or scipy at all.  A coupling
+ratio that overflows ends the bracket search with an error instead of
+growing the bracket forever.
 """
 
 import math
@@ -52,6 +54,36 @@ def test_solve_loads_neither_integrate_nor_optimize():
     assert lines == ["loaded []",
                      "quad bound False",  # bound inside adaptive_quad only
                      "quad loaded True"]  # constants integrates
+
+
+def imported_modules(*argv):
+    """Every module a fresh ``python -X importtime <argv>`` imports."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, check=True,
+                          timeout=120, env=ENV)
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+
+
+LINEAR_SWEEP = ("sweep", "--u-min", "0.5", "--u-max", "1", "--points", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-c", "import hubbard_gap"),
+    ("-m", "hubbard_gap", "solve", "--u", "1"),
+    ("-m", "hubbard_gap", "ratio", "--u-values", "0.1"),
+    ("-m", "hubbard_gap", *LINEAR_SWEEP),
+], ids=["import", "solve", "ratio", "linear-sweep"])
+def test_loads_neither_numpy_nor_scipy(argv):
+    modules = imported_modules(*argv)
+    assert "hubbard_gap" in modules
+    assert not {"numpy", "scipy"} & modules
+
+
+def test_integrating_and_geometric_commands_load_their_dependencies():
+    assert "scipy.integrate" in imported_modules("-m", "hubbard_gap", "constants")
+    modules = imported_modules("-m", "hubbard_gap", *LINEAR_SWEEP, "--log-spacing")
+    assert "numpy" in modules and "scipy" not in modules
 
 
 def test_overflowing_coupling_ratio_exits_3():
