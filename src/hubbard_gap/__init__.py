@@ -17,8 +17,9 @@ from .renorm import (BCS_RATIO, ConstantsReport, EULER_GAMMA, LaurentFit,
                      RegularizedLimit, a0_exact, a0_numeric, a1_constant,
                      a1_exact, a1_minus_b1, b1_constant, constants_report,
                      fit_laurent, gap_ratio_expansion, j2_closed,
-                     mellin_difference, neel_asymptotic, regularized_limit,
-                     richardson_extrapolate, sech_log2_integral)
+                     mellin_difference, neel_asymptotic, ratio_from_asymptotics,
+                     regularized_limit, richardson_extrapolate,
+                     sech_log2_integral)
 from .specfun import (cosine_power_integral, dilog, dilog_inversion_residual,
                       gamma_ratio)
 

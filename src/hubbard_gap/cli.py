@@ -16,13 +16,14 @@ Python's shortest round-trip float form.  Identical arguments (including
 --seed) produce byte-identical files.
 
 Only ``constants`` and ``regularize`` integrate, so only they take the
-quadrature tolerances, and only they load ``scipy.integrate``.  ``solve``,
-``ratio`` and a linear ``sweep`` run on ``math`` alone: the linear grid is
-``_linspace``, numpy's ``linspace`` arithmetic written out, and ``ratio``
-reads the exact ``a1``.  ``sweep --log-spacing`` keeps ``numpy.geomspace``,
-imported in that branch: its powers go through numpy's ``power``, which
-differs from the C library's ``pow`` in the last bit on some exponents, so
-no pure-Python grid reproduces it.
+quadrature tolerances.  No command loads scipy, and ``solve``, ``ratio``,
+``dos``, ``constants`` and a linear ``sweep`` run on ``math`` alone: the
+linear grid is ``_linspace``, numpy's ``linspace`` arithmetic written
+out, and ``ratio`` reads the exact ``a1``.  ``regularize`` loads numpy for
+its least-squares fits.  ``sweep --log-spacing`` keeps
+``numpy.geomspace``, imported in that branch: its powers go through
+numpy's ``power``, which differs from the C library's ``pow`` in the last
+bit on some exponents, so no pure-Python grid reproduces it.
 """
 
 import argparse
@@ -39,7 +40,7 @@ from .errors import ConvergenceError, DomainError
 from .gap import GapParams, asymptotic_comparison, delta_asymptotic, gap_solve
 from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, QuadratureConfig
 from .renorm import (BCS_RATIO, a1_exact, constants_report,
-                     gap_ratio_expansion, j2_closed, neel_asymptotic,
+                     gap_ratio_expansion, j2_closed, ratio_from_asymptotics,
                      regularized_limit)
 
 
@@ -215,8 +216,7 @@ def cmd_ratio(args):
     a1 = a1_exact()  # and b1 = 0 exactly
     rows = [{"u": u,
              "ratio_two_term": gap_ratio_expansion(u, a1, 0.0),
-             "ratio_from_asymptotics":
-                 delta_asymptotic(u) / neel_asymptotic(u, a1),
+             "ratio_from_asymptotics": ratio_from_asymptotics(u, a1),
              "leading": BCS_RATIO}
             for u in u_values]
     _emit({"rows": rows}, rows, args)

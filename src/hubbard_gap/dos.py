@@ -13,12 +13,9 @@ The production route (``dos_value``; integrands call
 ``dos_value_elliptic``) is the level-set reduction of the Brillouin-zone
 integral in closed form, N0(eps) = K(m) / (pi^2 (1 + eps/4)) with
 elliptic parameter m = ((4 - eps)/(4 + eps))^2, evaluated through
-scipy's ``ellipkm1`` so that the m -> 1 regime (eps -> 0) keeps full
-precision.  ``scipy.special`` is imported on the first DOS point, not with
-the module, so that commands which evaluate no DOS point start without
-it.  The ufunc stays in place of a pure-Python AGM, which takes three to
-five times as long a point, because the moment integrals behind
-``constants`` and ``regularize`` make thousands of calls.
+``_ellipkm1``, a port of the Cephes routine ``ellpk`` behind scipy's
+``ellipkm1``, so that the m -> 1 regime (eps -> 0) keeps full precision
+and no DOS point needs more than ``math``.
 Two independent reference routes live in ``hubbard_gap.oracles``: the
 level-set reduction by adaptive quadrature (``dos_value_quadrature``)
 and the defining two-dimensional integral with a Monte Carlo guard
@@ -26,8 +23,9 @@ and the defining two-dimensional integral with a Monte Carlo guard
 
 Moments of eps^(s-1) against N0 on [0, 4] come both numerically
 (``dos_moment``, with the singular neighbourhood of eps = 0 integrated in
-closed form from the expansion above) and exactly (``dos_moment_exact``,
-a squared Gamma ratio).  Tolerances come from ``hubbard_gap.quadrature``.
+closed form from the expansion above and the rest in v = ln eps, where
+the integrand is smooth) and exactly (``dos_moment_exact``, a squared
+Gamma ratio).  Tolerances come from ``hubbard_gap.quadrature``.
 
 All functions are pure.
 """
@@ -45,19 +43,49 @@ BAND_EDGE = 4.0
 DELTA_SPLIT = 1e-3
 
 
+# _ellipkm1 is a port of ellpk.c of the Cephes Math Library (Copyright
+# 1984, 1987 by Stephen L. Moshier), the routine behind scipy.special.ellipkm1,
+# which scipy distributes under the BSD 3-Clause license with the author's
+# permission (SPDX-License-Identifier: BSD-3-Clause).
 def _ellipkm1(p):
-    """scipy's K(1 - p), imported on first use; the import rebinds this name
-    to the ufunc, so later calls go to it directly."""
-    global _ellipkm1
-    from scipy.special import ellipkm1 as _ellipkm1
-    return _ellipkm1(p)
+    """K(1 - p) for 0 < p < 1, bit for bit as scipy's ``ellipkm1``.
+
+    Cephes' minimax form P(p) - ln(p) Q(p), two degree-10 polynomials in
+    Horner form, and ln(4) - ln(p)/2 below the unit roundoff (DLMF 19.12.1
+    to leading order); the p >= 1 and p <= 0 branches of ``ellpk`` are not
+    reached from the band interior.
+    """
+    if p <= 1.11022302462515654042e-16:
+        return 1.3862943611198906188 - 0.5 * math.log(p)
+    return ((((((((((1.37982864606273237150e-4 * p
+                     + 2.28025724005875567385e-3) * p
+                    + 7.97404013220415179367e-3) * p
+                   + 9.85821379021226008714e-3) * p
+                  + 6.87489687449949877925e-3) * p
+                 + 6.18901033637687613229e-3) * p
+                + 8.79078273952743772254e-3) * p
+               + 1.49380448916805252718e-2) * p
+              + 3.08851465246711995998e-2) * p
+             + 9.65735902811690126535e-2) * p
+            + 1.38629436111989062502) - math.log(p) * (
+        (((((((((2.94078955048598507511e-5 * p
+                 + 9.14184723865917226571e-4) * p
+                + 5.94058303753167793257e-3) * p
+               + 1.54850516649762399335e-2) * p
+              + 2.39089602715924892727e-2) * p
+             + 3.01204715227604046988e-2) * p
+            + 3.73774314173823228969e-2) * p
+           + 4.88280347570998239232e-2) * p
+          + 7.03124996963957469739e-2) * p
+         + 1.24999999999870820058e-1) * p
+        + 4.99999999999999999821e-1)
 
 
 def dos_value_elliptic(epsilon):
     """Density of states at ``epsilon`` from the closed elliptic form.
 
     Exactly zero outside the open band |eps| < 4; raises at the eps = 0
-    singularity.  ``ellipkm1`` takes the complement
+    singularity.  ``_ellipkm1`` takes the complement
     1 - m = 16 eps / (4 + eps)^2, which is exact arithmetic, so no
     precision is lost as eps -> 0.
     """
@@ -66,7 +94,7 @@ def dos_value_elliptic(epsilon):
         raise DomainError("density of states diverges logarithmically at eps = 0")
     if e >= BAND_EDGE:
         return 0.0
-    return float(_ellipkm1(16.0 * e / (4.0 + e) ** 2)) / (PI_SQUARED * (1.0 + 0.25 * e))
+    return _ellipkm1(16.0 * e / (4.0 + e) ** 2) / (PI_SQUARED * (1.0 + 0.25 * e))
 
 
 # kept apart from dos_value_elliptic: benchmarks/tracer.py times this name
@@ -119,17 +147,22 @@ def _moment_split_head(s, include_log_part):
     return head
 
 
+#: the quadrature range [DELTA_SPLIT, BAND_EDGE] of the moments in v = ln eps
+LOG_SPLIT, LOG_BAND_EDGE = math.log(DELTA_SPLIT), math.log(BAND_EDGE)
+
+
 def _split_moment(s, density, include_log_part, cfg, name):
     """int_0^4 eps^(s-1) density(eps), s > 0: closed-form head on [0, DELTA_SPLIT]
-    plus quadrature; ConvergenceError naming ``name`` and ``s`` where the
-    moment leaves double range (s above about 513 or below about 1e-154)."""
+    plus the quadrature of e^(s v) density(e^v) over v = ln eps, where the
+    integrand is smooth; ConvergenceError naming ``name`` and ``s`` where
+    the moment leaves double range (s above about 512 or below about 1e-154)."""
     if not s > 0:
         raise DomainError(f"moment order must be positive, got {s}")
     try:
-        tail = adaptive_quad(lambda e: e ** (s - 1.0) * density(e),
-                             DELTA_SPLIT, BAND_EDGE, cfg, name)
+        tail = adaptive_quad(lambda v: math.exp(s * v) * density(math.exp(v)),
+                             LOG_SPLIT, LOG_BAND_EDGE, cfg, name)
         value = _moment_split_head(s, include_log_part) + tail
-    except ArithmeticError:  # e ** (s - 1) overflows or s * s underflows to 0
+    except ArithmeticError:  # exp(s v) overflows or s * s underflows to 0
         value = math.inf
     if not math.isfinite(value):  # or 1/(s * s) overflows to inf
         raise ConvergenceError(f"{name} leaves double range at s = {s}")
@@ -141,7 +174,7 @@ def dos_moment(s, cfg=DEFAULT_CONFIG):
 
     The integrand behaves like eps^(s-1) ln(16/eps) near zero; on
     [0, DELTA_SPLIT] the expansion is integrated in closed form, the rest
-    by adaptive quadrature against the validated elliptic fast path.
+    by adaptive quadrature in ln eps against the elliptic closed form.
     """
     return _split_moment(s, dos_value_elliptic, True, cfg, "DOS moment")
 

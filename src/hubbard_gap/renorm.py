@@ -30,8 +30,8 @@ constant is pi e^(-gamma).
 import math
 from dataclasses import dataclass, field
 
-from .dos import (BAND_EDGE, DELTA_SPLIT, _moment_split_head, _split_moment,
-                  dos_log_subtracted, dos_moment)
+from .dos import (LOG_BAND_EDGE, LOG_SPLIT, _moment_split_head,
+                  _split_moment, dos_log_subtracted, dos_moment)
 from .errors import ConvergenceError, DomainError, FitDegeneracyError
 from .quadrature import DEFAULT_CONFIG, adaptive_quad
 from .specfun import PI_SQUARED, TWO_PI_SQUARED
@@ -61,10 +61,10 @@ def a0_numeric(cfg=DEFAULT_CONFIG):
     The integrand is eps (ln(16/eps) - 1)/(128 pi^2) + O(eps^3 ln) near
     zero; on [0, DELTA_SPLIT] that leading part is integrated in closed
     form (the s = 0 head of ``mellin_difference``), the remainder by
-    adaptive quadrature.
+    adaptive quadrature of dos_log_subtracted(e^v) over v = ln eps.
     """
-    tail = adaptive_quad(lambda e: dos_log_subtracted(e) / e,
-                         DELTA_SPLIT, BAND_EDGE, cfg, "subtracted DOS integral")
+    tail = adaptive_quad(lambda v: dos_log_subtracted(math.exp(v)),
+                         LOG_SPLIT, LOG_BAND_EDGE, cfg, "subtracted DOS integral")
     return _moment_split_head(0.0, include_log_part=False) + tail
 
 
@@ -280,6 +280,22 @@ def neel_asymptotic(u, a1):
     if scale == 0.0:
         raise ConvergenceError(f"Neel scale underflows to 0 at u = {u}")
     return scale
+
+
+def ratio_from_asymptotics(u, a1):
+    """Quotient of the weak-coupling gap and Neel scales at b1 = 0.
+
+    delta_asymptotic(u) / neel_asymptotic(u, a1)
+      = pi e^-gamma exp(sqrt(4 pi^2 / u + a1) - sqrt(4 pi^2 / u)),
+    with the exponent difference written as
+    a1 / (sqrt(4 pi^2 / u + a1) + sqrt(4 pi^2 / u)): dividing the two
+    exponentials would carry the rounding of exponents up to 2 pi / sqrt(u)
+    into the ratio.  Raises ConvergenceError where the Neel scale
+    underflows to 0, as the quotient would.
+    """
+    neel_asymptotic(u, a1)  # raises where the quotient's denominator is 0
+    return BCS_RATIO * math.exp(
+        a1 / (_asymptotic_exponent(u, a1) + _asymptotic_exponent(u, 0.0)))
 
 
 def gap_ratio_expansion(u, a1, b1):

@@ -10,7 +10,8 @@ import pytest
 
 from hubbard_gap import (BCS_RATIO, a1_exact, constants_report,
                          delta_asymptotic, gap_ratio_expansion,
-                         neel_asymptotic, regularized_limit)
+                         neel_asymptotic, ratio_from_asymptotics,
+                         regularized_limit)
 from hubbard_gap.cli import _fmt, _linspace, main
 
 
@@ -259,8 +260,7 @@ class TestRatio:
             assert row == {
                 "u": u,
                 "ratio_two_term": gap_ratio_expansion(u, a1_exact(), 0.0),
-                "ratio_from_asymptotics": (delta_asymptotic(u)
-                                           / neel_asymptotic(u, a1_exact())),
+                "ratio_from_asymptotics": ratio_from_asymptotics(u, a1_exact()),
                 "leading": BCS_RATIO,
             }
 

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipkm1
 
 from hubbard_gap import (ConvergenceError, DomainError, QuadratureConfig,
                          dos_asymptotic, dos_moment, dos_moment_exact,
                          dos_pushforward_oracle, dos_value_elliptic,
                          dos_value_quadrature)
-from hubbard_gap.dos import DEFAULT_CONFIG, DELTA_SPLIT, dos_log_subtracted
+from hubbard_gap.dos import (DEFAULT_CONFIG, DELTA_SPLIT, _ellipkm1,
+                             dos_log_subtracted)
 
 CFG = DEFAULT_CONFIG
 TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -41,7 +43,7 @@ class TestQuadratureConfig:
             QuadratureConfig(**kwargs)
 
     def test_largest_depth_accepted(self):
-        # built only: QUADPACK allocates work arrays of max_depth entries
+        # built only: adaptive_quad may hold up to max_depth subintervals
         assert QuadratureConfig(max_depth=2 ** 31 - 1).max_depth == 2 ** 31 - 1
 
 
@@ -102,6 +104,23 @@ class TestDosValue:
         half_mass, _ = quad(dos_value_elliptic, 0.0, 4.0,
                             epsabs=1e-12, epsrel=1e-11, limit=300)
         assert half_mass == pytest.approx(0.5, abs=1e-9)
+
+
+class TestEllipkm1Port:
+    def test_bit_for_bit_with_scipy(self):
+        # eps log-uniform over the whole double range and uniform over the
+        # band; 1 - m = 16 eps/(4 + eps)^2 falls below the unit roundoff,
+        # the logarithmic branch, for eps up to about 1.1e-16
+        rng = np.random.default_rng(19)
+        eps = np.concatenate([
+            np.exp(rng.uniform(math.log(5e-324), math.log(4.0), 60_000)),
+            rng.uniform(0.0, 4.0, 40_000),
+            [5e-324, 1.1e-16, 1.12e-16, 1e-3, np.nextafter(4.0, 0.0)]])
+        eps = eps[(eps > 0.0) & (eps < 4.0)]
+        p = 16.0 * eps / (4.0 + eps) ** 2
+        ours = np.array([_ellipkm1(float(x)) for x in p])
+        assert np.count_nonzero(p <= np.finfo(float).eps / 2) > 50_000
+        assert np.array_equal(ours, ellipkm1(p))
 
 
 class TestDosAsymptotic:

@@ -30,8 +30,8 @@ def test_production_module_binds_no_oracle(module):
 
 
 def test_specfun_loads_without_scipy():
-    # the package __init__ imports every layer, scipy included, so the fresh
-    # interpreter registers a bare package object and imports specfun alone
+    # the fresh interpreter registers a bare package object and imports
+    # specfun alone, so only specfun's own imports count
     code = "\n".join([
         "import sys, types",
         "package = types.ModuleType('hubbard_gap')",

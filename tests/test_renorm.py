@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import mpmath as mp
@@ -13,8 +14,8 @@ from hubbard_gap import (ConvergenceError, DomainError, FitDegeneracyError,
                          fit_laurent,
                          gap_ratio_expansion, j2_closed, j2_quadrature,
                          delta_asymptotic, mellin_difference,
-                         neel_asymptotic, regularized_limit,
-                         richardson_extrapolate, sech_log2_integral,
+                         neel_asymptotic, ratio_from_asymptotics,
+                         regularized_limit, richardson_extrapolate, sech_log2_integral,
                          sech_log2_integral_direct)
 from hubbard_gap.dos import DEFAULT_CONFIG
 from hubbard_gap.renorm import EULER_GAMMA
@@ -310,6 +311,33 @@ class TestGapRatio:
     def test_domain(self):
         with pytest.raises(DomainError):
             gap_ratio_expansion(0.0, 0.3260, 0.0)
+
+
+class TestRatioFromAsymptotics:
+    def test_within_4_ulp_of_mpmath(self):
+        # the quotient of the two exponentials was up to ~940 ulp off here
+        rng = random.Random(28)
+        a1 = a1_exact()
+        with mp.workdps(40):
+            leading = mp.pi * mp.exp(-mp.euler)
+            for _ in range(2000):
+                u = math.exp(rng.uniform(math.log(1e-4), math.log(100.0)))
+                r = 4 * mp.pi ** 2 / mp.mpf(u)
+                exact = leading * mp.exp(mp.sqrt(r + mp.mpf(a1)) - mp.sqrt(r))
+                value = ratio_from_asymptotics(u, a1)
+                assert abs(mp.mpf(value) - exact) <= 4 * math.ulp(value), u
+
+    @pytest.mark.parametrize("u", [1e-4, 0.01, 1.0, 100.0])
+    def test_is_the_quotient_of_the_scales(self, u):
+        quotient = delta_asymptotic(u) / neel_asymptotic(u, a1_exact())
+        assert ratio_from_asymptotics(u, a1_exact()) == pytest.approx(
+            quotient, rel=1e-12)
+
+    def test_underflow_and_domain(self):
+        with pytest.raises(ConvergenceError, match="Neel scale .* u = 1e-300$"):
+            ratio_from_asymptotics(1e-300, a1_exact())
+        with pytest.raises(DomainError):
+            ratio_from_asymptotics(0.0, a1_exact())
 
 
 class TestConstantsReport:

@@ -1,15 +1,17 @@
-"""The gap solve runs without ``scipy.integrate`` and ``scipy.optimize``.
+"""No command loads scipy, and the gap solve loads neither numpy nor scipy.
 
 ``gap_solve`` finds its root with ``gap._brent``, a port of
 ``scipy.optimize.brentq``; the tests pin the port against scipy itself
-(imported here only) and check in a fresh interpreter that a solve loads
-neither scipy module, while a command that integrates loads ``quad`` on
-first use.  Neither ``import hubbard_gap`` nor the commands ``solve``,
-``ratio`` and a linear ``sweep`` load numpy or scipy at all.  A coupling
-ratio that overflows ends the bracket search with an error instead of
-growing the bracket forever.
+(imported here only).  No module of the package imports scipy: the
+quadratures run ``quadrature.adaptive_quad`` and the DOS ``dos._ellipkm1``,
+both plain Python, so a fresh ``constants``, ``dos`` or ``regularize``
+loads no scipy either.  Neither ``import hubbard_gap`` nor the commands
+``solve``, ``ratio`` and a linear ``sweep`` load numpy or scipy at all.  A
+coupling ratio that overflows ends the bracket search with an error
+instead of growing the bracket forever.
 """
 
+import ast
 import math
 import os
 import subprocess
@@ -38,22 +40,20 @@ def test_solve_loads_neither_integrate_nor_optimize():
     code = "\n".join([
         "import sys",
         "import hubbard_gap",
-        "from hubbard_gap import GapParams, cli, gap_solve, quadrature",
+        "from hubbard_gap import GapParams, cli, gap_solve",
         "gap_solve(GapParams(1.0))",
         "assert cli.main(['solve', '--u', '1']) == 0",
         f"print('loaded', sorted(m for m in {HEAVY!r} if m in sys.modules))",
-        "print('quad bound', hasattr(quadrature, 'quad'))",
         "assert cli.main(['constants']) == 0",
-        "print('quad loaded', 'scipy.integrate' in sys.modules)",
+        "print('scipy loaded', 'scipy' in sys.modules)",
     ])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120, env=ENV)
     # the command tables go to the same stdout; keep the labelled lines
     lines = [line for line in done.stdout.splitlines()
-             if line.startswith(("loaded", "quad"))]
+             if line.startswith(("loaded", "scipy"))]
     assert lines == ["loaded []",
-                     "quad bound False",  # bound inside adaptive_quad only
-                     "quad loaded True"]  # constants integrates
+                     "scipy loaded False"]  # constants integrates without it
 
 
 def imported_modules(*argv):
@@ -80,10 +80,32 @@ def test_loads_neither_numpy_nor_scipy(argv):
     assert not {"numpy", "scipy"} & modules
 
 
+DOS_TABLE = ("dos", "--points", "5", "--eps-min", "1e-300", "--eps-max", "4")
+REGULARIZE = ("regularize", "--s-values", "0.4,0.2,0.1,0.05")
+
+
 def test_integrating_and_geometric_commands_load_their_dependencies():
-    assert "scipy.integrate" in imported_modules("-m", "hubbard_gap", "constants")
-    modules = imported_modules("-m", "hubbard_gap", *LINEAR_SWEEP, "--log-spacing")
-    assert "numpy" in modules and "scipy" not in modules
+    for argv in (("constants",), DOS_TABLE):
+        assert not {"numpy", "scipy"} & imported_modules("-m", "hubbard_gap", *argv)
+    for argv in (REGULARIZE, (*LINEAR_SWEEP, "--log-spacing")):
+        modules = imported_modules("-m", "hubbard_gap", *argv)
+        assert "numpy" in modules and "scipy" not in modules
+
+
+def test_no_module_imports_scipy():
+    package = Path(hubbard_gap.__file__).parent
+    imported = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imported += [f"{path.name}: {name}" for name in names
+                         if name.split(".")[0] == "scipy"]
+    assert imported == []
 
 
 def test_overflowing_coupling_ratio_exits_3():

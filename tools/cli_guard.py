@@ -60,6 +60,11 @@ INVOCATIONS = [
     ("solve", "--u", "0.05"),  # absolute residual gate
     ("solve", "--u", "1e300"),  # relative residual gate
     ("regularize", "--s-values", "0.4,0.2,0.1,0.05", *STRICT),
+    # a moment or its Laurent fit leaves double range, the Neel scale underflows
+    ("regularize", "--s-values", "514,513,512,511"),
+    ("regularize", "--s-values", "512,511,510,509"),
+    ("regularize", "--s-values", "1e-3,1e-10,1e-100,1e-160"),
+    ("ratio", "--u-values", "1e-300"),
     # help text of every command but dos
     *[(command, "--help")
       for command in ("solve", "sweep", "constants", "regularize", "ratio")],
