@@ -16,14 +16,15 @@ Python's shortest round-trip float form.  Identical arguments (including
 --seed) produce byte-identical files.
 
 Only ``constants`` and ``regularize`` integrate, so only they take the
-quadrature tolerances.  No command loads scipy, and ``solve``, ``ratio``,
-``dos``, ``constants`` and a linear ``sweep`` run on ``math`` alone: the
-linear grid is ``_linspace``, numpy's ``linspace`` arithmetic written
-out, and ``ratio`` reads the exact ``a1``.  ``regularize`` loads numpy for
-its least-squares fits.  ``sweep --log-spacing`` keeps
-``numpy.geomspace``, imported in that branch: its powers go through
-numpy's ``power``, which differs from the C library's ``pow`` in the last
-bit on some exponents, so no pure-Python grid reproduces it.
+quadrature tolerances.  No command loads numpy or scipy: all six run on
+``math`` alone.  The linear grid is ``_linspace``, numpy's ``linspace``
+arithmetic written out, and ``ratio`` reads the exact ``a1``.  The
+geometric grid of ``sweep --log-spacing`` is ``_geomspace``: ``10**v``
+over ``_linspace`` of the decimal exponents, ends pinned.  It is not
+``numpy.geomspace`` bit for bit, because numpy's ``log10`` and ``power``
+differ from the C library's in the last bit on some arguments.  Interior
+points can differ by a few ulp: their 12-digit ``u`` cells stay, but a
+``rel_dev`` at the rounding level (about 1e-13 near u = 0.08) can move.
 """
 
 import argparse
@@ -92,6 +93,8 @@ def _parse_positive_list(raw, what):
         raise DomainError(f"{what} list must be non-empty")
     if any(not v > 0 for v in values):
         raise DomainError(f"{what} values must be positive")
+    if math.inf in values:
+        raise DomainError(f"{what} values must be finite")
     return values
 
 
@@ -112,6 +115,17 @@ def _linspace(start, stop, num):
     points = [start + v for v in points]
     if num > 1:
         points[-1] = stop
+    return points
+
+
+def _geomspace(start, stop, num):
+    """Geometric grid from ``start`` to ``stop`` (both positive): ``10**v``
+    over ``_linspace`` of the decimal exponents, with the ends set to
+    ``start`` and ``stop`` as ``numpy.geomspace`` sets them."""
+    exponents = _linspace(math.log10(start), math.log10(stop), num)
+    points = [start] + [10.0 ** v for v in exponents[1:-1]]
+    if num > 1:
+        points.append(stop)
     return points
 
 
@@ -144,10 +158,7 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    if args.log_spacing:
-        from numpy import geomspace as spacing  # see the module docstring
-    else:
-        spacing = _linspace
+    spacing = _geomspace if args.log_spacing else _linspace
     rows = [asdict(asymptotic_comparison(u))
             for u in _grid(args, args.u_min, args.u_max, "u", spacing)]
     _emit({"rows": rows}, rows, args)

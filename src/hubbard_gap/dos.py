@@ -180,7 +180,20 @@ def dos_moment(s, cfg=DEFAULT_CONFIG):
 
 
 def dos_moment_exact(s):
-    """Closed form of the moment: 4^s/(8 pi) * (Gamma(s/2)/Gamma(1/2+s/2))^2."""
+    """Closed form of the moment: 4^s/(8 pi) * (Gamma(s/2)/Gamma(1/2+s/2))^2.
+
+    4^s alone overflows from s = 512, while the moment stays finite up to
+    s of about 518.3; from 512 on the power is split into two halves, one
+    multiplied in before and one after the small Gamma-ratio factor.  A
+    moment beyond double range raises ConvergenceError.
+    """
     if not s > 0:
         raise DomainError(f"moment order must be positive, got {s}")
-    return 4.0 ** s / (8.0 * math.pi) * gamma_ratio(s) ** 2
+    if s < 512.0:
+        return 4.0 ** s / (8.0 * math.pi) * gamma_ratio(s) ** 2
+    if s < 1024.0:  # where the half power is finite
+        half = 4.0 ** (0.5 * s)
+        value = half * (half * gamma_ratio(s) ** 2 / (8.0 * math.pi))
+        if value < math.inf:
+            return value
+    raise ConvergenceError(f"DOS moment (closed form) leaves double range at s = {s}")

@@ -28,6 +28,7 @@ constant is pi e^(-gamma).
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .dos import (LOG_BAND_EDGE, LOG_SPLIT, _moment_split_head,
@@ -44,6 +45,9 @@ _A1_CROSS = EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi)
 #: four-digit reference value of the Neel shift constant, used only for
 #: reporting deviations
 A1_REFERENCE = 0.3260
+
+#: unit roundoff of a double, the orthogonality goal of ``_jacobi_svd``
+EPS = 2.220446049250313e-16
 
 #: truncation point of the sech^2 log^2 integral; the tail beyond it is
 #: bounded by 4 (ln x)^2 e^(-2x) and totals < 1e-15
@@ -118,50 +122,109 @@ class RegularizedLimit:
 
 
 def _validated_grid(s_grid):
-    import numpy as np  # only the regularization uses numpy
-
-    s = np.asarray([float(v) for v in s_grid], dtype=float)
-    if s.size < 4:
+    s = [float(v) for v in s_grid]
+    if len(s) < 4:
         raise FitDegeneracyError("need at least 4 grid points for the fit")
-    if not np.all(s > 0):
+    if not all(v > 0 for v in s):
         raise DomainError("grid values must be positive")
-    if not np.all(np.diff(s) < 0):
+    if not all(b < a for a, b in zip(s, s[1:])):
         raise DomainError("grid must be strictly decreasing")
     return s
+
+
+def _dot(x, y):
+    return sum(map(operator.mul, x, y))
+
+
+def _jacobi_svd(columns):
+    """Thin SVD A = U diag(sigma) V^T of the m x n matrix with these columns.
+
+    One-sided (Hestenes) Jacobi: plane rotations of column pairs until
+    every pair is orthogonal to working precision.  Each column of A
+    carries the matching column of V (starting as the identity) below its
+    m entries, so one rotation updates both.  The squared column norms are
+    cached and updated with each rotation, and recomputed where the update
+    cancels more than three bits; they only decide the angles, and sigma
+    is recomputed from the final columns.  The small singular values
+    are as accurate as those of the best column scaling of A (Demmel and
+    Veselic, SIAM J. Matrix Anal. Appl. 13 (1992) 1204).  Returns the
+    columns of U (zero where sigma is 0), sigma and the columns of V.
+    """
+    m, n = len(columns[0]), len(columns)
+    a = [[*col, *(float(i == j) for i in range(n))] for j, col in enumerate(columns)]
+    norms = [_dot(col, col) for col in columns]
+    for _ in range(30):  # 3-5 sweeps on the grids of ``regularize``
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                xp, xq = a[p], a[q]
+                gamma = _dot(xp[:m], xq[:m])
+                alpha, beta = norms[p], norms[q]
+                if not abs(gamma) > EPS * math.sqrt(alpha) * math.sqrt(beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                sn = c * t
+                a[p] = [c * x - sn * y for x, y in zip(xp, xq)]
+                a[q] = [sn * x + c * y for x, y in zip(xp, xq)]
+                norms[p] = alpha - t * gamma
+                norms[q] = beta + t * gamma
+                for k, old in ((p, alpha), (q, beta)):
+                    if not norms[k] > 0.125 * old:  # cancelled: recompute
+                        norms[k] = _dot(a[k][:m], a[k][:m])
+        if not rotated:
+            break
+    sigma = [math.sqrt(_dot(col[:m], col[:m])) for col in a]
+    u = [[x / sj for x in col[:m]] if sj else [0.0] * m for col, sj in zip(a, sigma)]
+    return u, sigma, [col[m:] for col in a]
 
 
 def fit_laurent(s_grid, values):
     """Least-squares fit of sampled values against {s^-2, s^-1, 1, s}.
 
     Solved in the s^2-rescaled space (fit s^2 v against {1, s, s^2, s^3}),
-    which keeps the design matrix well conditioned on small grids.  The
-    reported residual is the rms misfit in that rescaled space.
+    which keeps the design matrix well conditioned on small grids, through
+    the SVD of ``_jacobi_svd``.  The reported residual is the rms misfit in
+    that rescaled space.  A rescaled value, coefficient or squared misfit
+    that leaves double range raises ConvergenceError.
     """
-    import numpy as np
-
     s = _validated_grid(s_grid)
-    v = np.asarray([float(x) for x in values], dtype=float)
-    if v.size != s.size:
+    v = [float(x) for x in values]
+    if len(v) != len(s):
         raise DomainError("grid and values must have equal length")
-    design = np.vander(s, 4, increasing=True)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            target = s * s * v
-            coef, _, rank, singular = np.linalg.lstsq(design, target, rcond=None)
-            fit_residual = float(np.sqrt(np.mean((target - design @ coef) ** 2)))
-    except FloatingPointError as exc:
-        raise ConvergenceError(f"Laurent fit on grid s = {s.tolist()}: {exc}") from exc
-    if rank < 4 or singular[-1] < 1e-13 * singular[0]:
+
+    def overflow(what):
+        return ConvergenceError(f"Laurent fit on grid s = {s}: overflow in {what}")
+
+    target = [x * x * y for x, y in zip(s, v)]
+    if not all(map(math.isfinite, target)):
+        raise overflow("the rescaled values s^2 v")
+    squares = [x * x for x in s]
+    design = [[1.0] * len(s), s, squares, [x2 * x for x2, x in zip(squares, s)]]
+    u, sigma, vt = _jacobi_svd(design)
+    if not all(map(math.isfinite, sigma)):
+        raise overflow("the powers of s")
+    if min(sigma) < 1e-13 * max(sigma):
         raise FitDegeneracyError("grid too clustered for a stable Laurent fit")
-    return LaurentFit(c_m2=float(coef[0]), c_m1=float(coef[1]),
-                      c_0=float(coef[2]), fit_residual=fit_residual)
+    coef = [0.0] * 4
+    for u_j, sigma_j, v_j in zip(u, sigma, vt):
+        weight = _dot(u_j, target) / sigma_j
+        coef = [c + weight * x for c, x in zip(coef, v_j)]
+    misfit = [y - _dot(row, coef) for y, row in zip(target, zip(*design))]
+    fit_residual = math.sqrt(_dot(misfit, misfit) / len(s))
+    if not all(map(math.isfinite, (*coef, fit_residual))):
+        raise overflow("the fit")
+    return LaurentFit(c_m2=coef[0], c_m1=coef[1], c_0=coef[2],
+                      fit_residual=fit_residual)
 
 
 def richardson_extrapolate(s_grid, values):
     """Neville extrapolation of samples on a descending grid to s = 0."""
     s = _validated_grid(s_grid)
     p = [float(v) for v in values]
-    if len(p) != s.size:
+    if len(p) != len(s):
         raise DomainError("grid and values must have equal length")
     n = len(p)
     for level in range(1, n):
@@ -181,9 +244,8 @@ def regularized_limit(s_grid, cfg=DEFAULT_CONFIG):
     pins down more sharply than the fit.
     """
     s = _validated_grid(s_grid)
-    grid = s.tolist()
-    j1_vals = tuple(dos_moment(v, cfg) for v in grid)
-    diff_vals = tuple(mellin_difference(v, cfg) for v in grid)
+    j1_vals = tuple(dos_moment(v, cfg) for v in s)
+    diff_vals = tuple(mellin_difference(v, cfg) for v in s)
     return RegularizedLimit(
         j1_fit=fit_laurent(s, j1_vals),
         difference_fit=fit_laurent(s, diff_vals),

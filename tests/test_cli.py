@@ -12,7 +12,7 @@ from hubbard_gap import (BCS_RATIO, a1_exact, constants_report,
                          delta_asymptotic, gap_ratio_expansion,
                          neel_asymptotic, ratio_from_asymptotics,
                          regularized_limit)
-from hubbard_gap.cli import _fmt, _linspace, main
+from hubbard_gap.cli import _fmt, _geomspace, _linspace, main
 
 
 def run_cli(args, capsys):
@@ -110,6 +110,26 @@ class TestSweep:
             cases.append((lo, hi, rng.randrange(1, 200)))
         for lo, hi, n in cases:
             assert _linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
+
+    def test_geomspace_near_numpy(self):
+        # numpy's log10 and power differ from the C library's in the last bit
+        # on some arguments, so interior points may differ by a few ulp, more
+        # for large decimal exponents; the ends are pinned
+        rng = random.Random(16)
+        cases = [(0.3, 2.0, 5), (100.0, 5000.0, 3), (0.06, 0.1, 6),
+                 (5e-324, 1e-300, 9), (1e300, 1.7976931348623157e308, 9)]
+        for _ in range(2000):
+            lo = math.exp(rng.uniform(-700.0, 700.0))
+            hi = lo * math.exp(rng.uniform(0.0, 5.0)) if rng.random() < 0.9 else lo
+            cases.append((lo, hi, rng.randrange(1, 200)))
+        for lo, hi, n in cases:
+            with np.errstate(over="ignore"):  # numpy's power of log10(DBL_MAX)
+                theirs = np.geomspace(lo, hi, n).tolist()
+            ours = _geomspace(lo, hi, n)
+            assert len(ours) == n and ours[0] == lo and ours[-1] == (hi if n > 1 else lo)
+            exponent = max(abs(math.log10(lo)), abs(math.log10(hi)))
+            for a, b in zip(ours, theirs):
+                assert abs(a - b) <= 4e-15 * (1.0 + exponent) * b, (lo, hi, n)
 
 
 class TestDos:
@@ -346,6 +366,20 @@ class TestOutputContract:
         assert out == ""
         assert "must be finite" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("argv", [
+        ["ratio", "--u-values", "inf"],
+        ["ratio", "--u-values", "0.1,inf"],
+        ["regularize", "--s-values", "inf,1,0.5,0.2"],
+    ])
+    def test_non_finite_list_value_exits_2(self, argv, capsys):
+        # ratio printed the row inf,inf,3.12197364726,... and regularize
+        # exited 3 on a DOS moment quadrature that could not converge
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        what = {"ratio": "u", "regularize": "s"}[argv[0]]
+        assert err == f"error: {what} values must be finite\n"
 
     @pytest.mark.parametrize("argv", [
         ["ratio", "--u-values", "1e-300"],

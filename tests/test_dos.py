@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -221,6 +223,20 @@ class TestMoments:
         assert dos_moment_exact(3.0) == pytest.approx(2.0, rel=1e-13)
         # frozen from mpmath: 4^s/(8 pi) (Gamma(s/2)/Gamma(1/2+s/2))^2 at s=1/2
         assert dos_moment_exact(0.5) == pytest.approx(0.69660196484283843, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [511.5, 512.0, 512.5, 515.0, 518.0])
+    def test_closed_form_up_to_double_range(self, s):
+        # 4.0 ** s overflows from s = 512, the moment itself only from s = 518.33
+        with mp.workdps(40):
+            half = mp.mpf(s) / 2
+            exact = mp.power(4, s) / (8 * mp.pi) * (mp.gamma(half) / mp.gamma(half + 0.5)) ** 2
+        assert dos_moment_exact(s) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [518.34, 600.0, 1e300, math.inf])
+    def test_closed_form_leaves_double_range(self, s):
+        with pytest.raises(ConvergenceError, match=re.escape(
+                f"DOS moment (closed form) leaves double range at s = {s}")):
+            dos_moment_exact(s)
 
     @pytest.mark.parametrize("s", [0.0, -2.0])
     def test_domain(self, s):

@@ -3,6 +3,7 @@ import random
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +11,8 @@ from hubbard_gap import (ConvergenceError, DomainError, FitDegeneracyError,
                          a0_exact, a0_numeric, a1_constant, a1_exact,
                          a1_minus_b1,
                          b1_constant,
-                         constants_report, dos_moment, dos_value_quadrature,
+                         constants_report, dos_moment, dos_moment_exact,
+                         dos_value_quadrature,
                          fit_laurent,
                          gap_ratio_expansion, j2_closed, j2_quadrature,
                          delta_asymptotic, mellin_difference,
@@ -153,6 +155,117 @@ class TestLaurentMachinery:
         values = [1.5 + 2.0 * s - s ** 2 + 0.3 * s ** 3 for s in grid]
         assert richardson_extrapolate(grid, values) == pytest.approx(
             1.5, abs=1e-12)
+
+
+def _lstsq_numpy(grid, values):
+    """The fit as ``numpy.linalg.lstsq`` solves it: coefficients and verdict."""
+    s = np.asarray(grid)
+    coef, _, rank, singular = np.linalg.lstsq(np.vander(s, 4, increasing=True),
+                                              s * s * np.asarray(values), rcond=None)
+    return coef[:3].tolist(), bool(rank < 4 or singular[-1] < 1e-13 * singular[0])
+
+
+def _lstsq_60_digits(grid, values):
+    """Least-squares coefficients from the normal equations at 60 digits."""
+    with mp.workdps(60):
+        rows = [[mp.mpf(s) ** k for k in range(4)] for s in grid]
+        target = [mp.mpf(s) ** 2 * mp.mpf(v) for s, v in zip(grid, values)]
+        gram = mp.matrix([[mp.fsum(r[i] * r[j] for r in rows) for j in range(4)]
+                          for i in range(4)])
+        rhs = mp.matrix([mp.fsum(r[i] * y for r, y in zip(rows, target))
+                         for i in range(4)])
+        coef = mp.lu_solve(gram, rhs)
+        return [coef[k] for k in range(3)]
+
+
+def _seeded_fit_problems(count=300, seed=16):
+    """Descending grids of 4-8 log-uniform points spanning a factor 3-500,
+    carrying J1, J1 - J2 (both closed form) or a noisy Laurent series."""
+    rng = random.Random(seed)
+    for index in range(count):
+        low = math.exp(rng.uniform(math.log(1e-3), math.log(0.1)))
+        high = low * math.exp(rng.uniform(math.log(3.0), math.log(500.0)))
+        grid = sorted({math.exp(rng.uniform(math.log(low), math.log(high)))
+                       for _ in range(rng.randint(4, 8))}, reverse=True)
+        if index % 3 == 0:
+            values = [dos_moment_exact(s) for s in grid]
+        elif index % 3 == 1:
+            values = [dos_moment_exact(s) - j2_closed(s) for s in grid]
+        else:
+            c = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+            values = [c[0] / s ** 2 + c[1] / s + c[2] + rng.gauss(0.0, 1e-3)
+                      for s in grid]
+        yield grid, values
+
+
+#: every grid the tests and tools/cli_guard.py run ``regularize`` or the fit on
+EXISTING_GRIDS = [DEFAULT_GRID, FINE_GRID, [0.4, 0.2, 0.1, 0.05],
+                  [1.0, 0.4, 0.2, 0.1]]
+
+
+def _existing_fit_problems():
+    for grid in EXISTING_GRIDS:
+        limit = regularized_limit(grid, CFG)
+        yield grid, limit.j1_values
+        yield grid, limit.difference_values
+    yield [0.4, 0.2, 0.1, 0.05], [2.0 / s ** 2 - 3.0 / s + 0.7 + 0.1 * s
+                                  for s in [0.4, 0.2, 0.1, 0.05]]
+
+
+class TestJacobiFit:
+    """The plain-Python SVD fit against numpy's LAPACK route and 60 digits."""
+
+    def test_coefficients_no_worse_than_lstsq(self):
+        problems = [*_seeded_fit_problems(), *_existing_fit_problems()]
+        assert len(problems) >= 300
+        worst = {"jacobi": 0.0, "lstsq": 0.0}
+        for grid, values in problems:
+            reference = _lstsq_60_digits(grid, values)
+            fit = fit_laurent(grid, values)
+            for route, coef in (("jacobi", [fit.c_m2, fit.c_m1, fit.c_0]),
+                                ("lstsq", _lstsq_numpy(grid, values)[0])):
+                worst[route] = max(worst[route], *(
+                    float(abs(c - r) / abs(r)) for c, r in zip(coef, reference)))
+        assert worst["jacobi"] <= worst["lstsq"], worst
+
+    def test_degeneracy_verdict_matches_lstsq(self):
+        # grids of 4-8 points within a relative width w of one another;
+        # sigma_min/sigma_max crosses 1e-13 for w between about 3e-3 and 5e-2
+        rng = random.Random(7)
+        near_degenerate = []
+        for _ in range(500):
+            center = math.exp(rng.uniform(math.log(1e-3), 0.0))
+            width = 10.0 ** rng.uniform(-3.0, -1.0)
+            grid = sorted({center * (1.0 + width * rng.random())
+                           for _ in range(rng.randint(4, 8))}, reverse=True)
+            near_degenerate.append((grid, [1.0] * len(grid)))
+        clustered = [0.1 + 3e-6, 0.1 + 2e-6, 0.1 + 1e-6, 0.1]
+        verdicts = []
+        for grid, values in [*_existing_fit_problems(), (clustered, [1.0] * 4),
+                             *near_degenerate]:
+            _, degenerate = _lstsq_numpy(grid, values)
+            verdicts.append(degenerate)
+            if degenerate:
+                with pytest.raises(FitDegeneracyError):
+                    fit_laurent(grid, values)
+            else:
+                fit_laurent(grid, values)
+        # the clustered grid is degenerate, and the seeded ones fall both ways
+        assert verdicts[-501] and 100 < sum(verdicts[-500:]) < 400
+
+    def test_extrapolation_is_the_float64_tableau(self):
+        # the same IEEE operations as the tableau on numpy float64 scalars
+        def neville_float64(grid, values):
+            s = np.asarray(grid, dtype=float)
+            p = [float(v) for v in values]
+            for level in range(1, len(p)):
+                for i in range(len(p) - level):
+                    p[i] = (s[i] * p[i + 1] - s[i + level] * p[i]) / (s[i] - s[i + level])
+            return p[0]
+
+        for grid, values in [*_seeded_fit_problems(60), *_existing_fit_problems()]:
+            assert (richardson_extrapolate(grid, values)
+                    == neville_float64(grid, values))
 
 
 class TestRegularizedLimit:

@@ -16,9 +16,12 @@ whether every run was correct, and per metric how many of the run pairs
 the change wins (the direction ``BENCHMARK.json`` calls better);
 and ``gap_solve(GapParams(u))`` on ``GRID_POINTS`` log-spaced couplings
 u in [1e-5, 20], as ``repr(delta)`` or the exception's class name, with
-the grid points whose output changed.  Also records the CPU count, the
-revisions, and the python, numpy and scipy versions.  Exit code 0 when
-every run was correct, 1 when not, 2 on a usage or git error.
+the grid points whose output changed; and the wall time of a fresh
+``python -m hubbard_gap`` process for each of ``COLD_COMMANDS``,
+``COLD_REPEATS`` times per side, alternating, as the best and the median
+in seconds.  Also records the CPU count, the revisions, and the python,
+numpy and scipy versions.  Exit code 0 when every run was correct, 1 when
+not, 2 on a usage or git error.
 """
 
 import argparse
@@ -33,6 +36,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from importlib.metadata import version
 from pathlib import Path
 
@@ -40,6 +44,13 @@ REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("solve_grid", "weak_coupling", "tables", "cli_cold")
 GRID_POINTS = 49
 GRID_RANGE = (1e-5, 20.0)
+
+COLD_COMMANDS = (
+    ("regularize", "--s-values", "0.4,0.2,0.1,0.05,0.025"),
+    ("sweep", "--u-min", "0.3", "--u-max", "2", "--points", "5", "--log-spacing"),
+    ("solve", "--u", "1"),
+)
+COLD_REPEATS = 15
 
 GRID_SCRIPT = """
 import json, sys
@@ -99,6 +110,23 @@ def gap_grid(root, grid):
                           capture_output=True, text=True, env=env, check=True,
                           timeout=600)
     return json.loads(done.stdout)
+
+
+def cold_times(roots):
+    """Wall seconds of fresh ``python -m hubbard_gap`` processes, per side
+    and command: the best and the median of ``COLD_REPEATS`` alternating runs."""
+    times = {side: {" ".join(argv): [] for argv in COLD_COMMANDS} for side in roots}
+    for index in range(COLD_REPEATS):
+        for argv in COLD_COMMANDS:
+            for side in sorted(roots, reverse=index % 2 == 1):
+                env = dict(os.environ, PYTHONPATH=str(Path(roots[side]) / "src"))
+                start = time.perf_counter()
+                subprocess.run([sys.executable, "-m", "hubbard_gap", *argv],
+                               capture_output=True, env=env, check=True, timeout=120)
+                times[side][" ".join(argv)].append(time.perf_counter() - start)
+    return {side: {label: {"best_s": min(values), "median_s": statistics.median(values)}
+                   for label, values in commands.items()}
+            for side, commands in times.items()}
 
 
 def summarize(runs):
@@ -170,6 +198,7 @@ def main():
                     print(f"run {index + 1}/{args.runs} {workload} {side}: "
                           f"correct={result.get('correct')}", file=sys.stderr)
         outputs = {side: gap_grid(root, grid) for side, root in roots.items()}
+        cold = cold_times(roots)
         spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
         better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
@@ -188,6 +217,7 @@ def main():
                                                          outputs["change"]))
                         if a != b],
         },
+        "cold_commands": cold,
     }
     for workload, sides in record["workloads"].items():
         sides["comparison"] = compare(sides["parent"], sides["change"], better)

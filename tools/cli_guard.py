@@ -34,6 +34,8 @@ INVOCATIONS = [
     ("solve", "--u", "2", "--t", "2", "--format", "json"),
     ("sweep", "--u-min", "0.3", "--u-max", "2", "--points", "5", "--log-spacing"),
     ("sweep", "--u-min", "0.5", "--u-max", "1", "--points", "3", "--format", "json"),
+    ("sweep", "--u-min", "0.06", "--u-max", "0.1", "--points", "6", "--log-spacing",
+     "--format", "json"),
     ("dos", "--points", "7", "--eps-min", "0.001", "--eps-max", "4.2"),
     ("dos", "--points", "4", "--eps-min", "0.5", "--eps-max", "4", "--format", "json"),
     ("constants",),
@@ -51,6 +53,8 @@ INVOCATIONS = [
     ("regularize", "--s-values", "0.4,0.2,-0.1,0.05"),
     ("regularize", "--s-values", "0.4,0.2,0.1"),
     ("ratio", "--u-values", "0.1,abc"),
+    ("ratio", "--u-values", "inf"),
+    ("regularize", "--s-values", "inf,1,0.5,0.2"),
     ("sweep", "--u-min", "0.5", "--u-max", "1", "--points", "0"),
     ("dos", "--points", "3", "--eps-min", "-1", "--eps-max", "1"),
     ("solve", "--u", "1", *STRICT),
