@@ -16,25 +16,29 @@ Python's shortest round-trip float form.  Identical arguments (including
 --seed) produce byte-identical files.
 
 Only ``constants`` and ``regularize`` integrate, so only they take the
-quadrature tolerances.  No command loads numpy or scipy: all six run on
-``math`` alone.  The linear grid is ``_linspace``, numpy's ``linspace``
-arithmetic written out, and ``ratio`` reads the exact ``a1``.  The
-geometric grid of ``sweep --log-spacing`` is ``_geomspace``: ``10**v``
-over ``_linspace`` of the decimal exponents, ends pinned.  It is not
-``numpy.geomspace`` bit for bit, because numpy's ``log10`` and ``power``
-differ from the C library's in the last bit on some arguments.  Interior
-points can differ by a few ulp: their 12-digit ``u`` cells stay, but a
-``rel_dev`` at the rounding level (about 1e-13 near u = 0.08) can move.
+quadrature tolerances; every command takes ``--format`` and ``--output``.
+Both flag sets are added to each subparser ahead of its own flags.  No
+command loads numpy or scipy: all six run on ``math`` alone.  Nor does a
+command load ``dataclasses``: the library's records are plain frozen
+classes whose ``_asdict()`` gives the table rows.  ``json`` is imported
+only to write ``--format json``.
+
+The linear grid is ``_linspace``, numpy's ``linspace`` arithmetic written
+out, and ``ratio`` reads the exact ``a1``.  The geometric grid of
+``sweep --log-spacing`` is ``_geomspace``: ``10**v`` over ``_linspace``
+of the decimal exponents, ends pinned.  It is not ``numpy.geomspace``
+bit for bit, because numpy's ``log10`` and ``power`` differ from the C
+library's in the last bit on some arguments.  Interior points can differ
+by a few ulp: their 12-digit ``u`` cells stay, but a ``rel_dev`` at the
+rounding level (about 1e-13 near u = 0.08) can move.
 """
 
 import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
-from dataclasses import asdict
 
 from .dos import dos_asymptotic, dos_moment_exact, dos_value
 from .errors import ConvergenceError, DomainError
@@ -72,6 +76,8 @@ def _jsonable(obj):
 def _emit(payload, rows, args):
     out = io.StringIO()
     if args.format == "json":
+        import json  # CSV, the default, needs no json
+
         json.dump(_jsonable(payload), out, indent=2)
         out.write("\n")
     else:
@@ -159,7 +165,7 @@ def cmd_solve(args):
 
 def cmd_sweep(args):
     spacing = _geomspace if args.log_spacing else _linspace
-    rows = [asdict(asymptotic_comparison(u))
+    rows = [asymptotic_comparison(u)._asdict()
             for u in _grid(args, args.u_min, args.u_max, "u", spacing)]
     _emit({"rows": rows}, rows, args)
 
@@ -215,8 +221,8 @@ def cmd_regularize(args, cfg):
                                          limit.difference_values)]
     payload = {
         "rows": rows,
-        "j1_fit": asdict(limit.j1_fit),
-        "difference_fit": asdict(limit.difference_fit),
+        "j1_fit": limit.j1_fit._asdict(),
+        "difference_fit": limit.difference_fit._asdict(),
         "difference_extrapolated": limit.difference_extrapolated,
     }
     _emit(payload, rows, args)
@@ -233,38 +239,43 @@ def cmd_ratio(args):
     _emit({"rows": rows}, rows, args)
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def build_parser():
-    tolerances = argparse.ArgumentParser(add_help=False)
-    tolerances.add_argument(
+def _add_tolerance_flags(p):
+    p.add_argument(
         "--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
         help=f"relative quadrature tolerance (default {DEFAULT_CONFIG.rel_tol:g})")
-    tolerances.add_argument(
+    p.add_argument(
         "--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol,
         help=f"absolute quadrature tolerance (default {DEFAULT_CONFIG.abs_tol:g})")
-    tolerances.add_argument(
+    p.add_argument(
         "--max-depth", type=int, default=DEFAULT_CONFIG.max_depth,
         help=f"adaptive subdivision limit (default {DEFAULT_CONFIG.max_depth})")
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    output.add_argument("--output", default=None, metavar="PATH",
-                        help="write to PATH instead of stdout")
 
+
+def _add_output_flags(p):
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
+    p.add_argument("--output", default=None, metavar="PATH",
+                   help="write to PATH instead of stdout")
+
+
+@functools.cache  # built once per process; parse_args leaves it unchanged
+def build_parser():
+    """The argument parser.  Each subparser takes the shared flags first,
+    then its own, so that usage and help list them in that order."""
     parser = argparse.ArgumentParser(
         prog="hubbard-gap",
         description="Mean-field gap equation of the half-filled square-lattice "
                     "Hubbard model: solver, constants, and validation tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[output],
-                       help="solve the gap equation at one (u, t)")
+    p = sub.add_parser("solve", help="solve the gap equation at one (u, t)")
+    _add_output_flags(p)
     p.add_argument("--u", type=float, required=True, help="on-site coupling")
     p.add_argument("--t", type=float, default=1.0, help="hopping (default 1)")
     p.set_defaults(run=cmd_solve)
 
-    p = sub.add_parser("sweep", parents=[output],
-                       help="gap vs asymptotic form over a coupling grid")
+    p = sub.add_parser("sweep", help="gap vs asymptotic form over a coupling grid")
+    _add_output_flags(p)
     p.add_argument("--u-min", type=float, required=True)
     p.add_argument("--u-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
@@ -272,27 +283,31 @@ def build_parser():
                    help="geometric instead of linear grid")
     p.set_defaults(run=cmd_sweep)
 
-    p = sub.add_parser("dos", parents=[output],
+    p = sub.add_parser("dos",
                        help="density-of-states table with the singular expansion")
+    _add_output_flags(p)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
     p.set_defaults(run=cmd_dos)
 
-    p = sub.add_parser("constants", parents=[tolerances, output],
+    p = sub.add_parser("constants",
                        help="derived constants with deviation diagnostics")
+    _add_tolerance_flags(p)
+    _add_output_flags(p)
     p.add_argument("--seed", type=int, default=DEFAULT_MC_SEED,
                    help=f"seed echoed in the output (default {DEFAULT_MC_SEED})")
     p.set_defaults(run=cmd_constants)
 
-    p = sub.add_parser("regularize", parents=[tolerances, output],
-                       help="moment pair table plus Laurent fits")
+    p = sub.add_parser("regularize", help="moment pair table plus Laurent fits")
+    _add_tolerance_flags(p)
+    _add_output_flags(p)
     p.add_argument("--s-values", required=True,
                    help="comma-separated positive s grid (at least 4 values)")
     p.set_defaults(run=cmd_regularize)
 
-    p = sub.add_parser("ratio", parents=[output],
-                       help="gap ratio expansion table")
+    p = sub.add_parser("ratio", help="gap ratio expansion table")
+    _add_output_flags(p)
     p.add_argument("--u-values", required=True,
                    help="comma-separated positive couplings")
     p.set_defaults(run=cmd_ratio)

@@ -184,14 +184,24 @@ def dos_moment_exact(s):
 
     4^s alone overflows from s = 512, while the moment stays finite up to
     s of about 518.3; from 512 on the power is split into two halves, one
-    multiplied in before and one after the small Gamma-ratio factor.  A
-    moment beyond double range raises ConvergenceError.
+    multiplied in before and one after the small Gamma-ratio factor.  At
+    small s the moment is 1/(2 pi^2 s^2) to double precision, finite down
+    to s of about 1.68e-155; below s of about 8.4e-155, where the squared
+    ratio alone overflows, the ratio is multiplied in twice.  A moment
+    beyond double range raises ConvergenceError.
     """
     if not s > 0:
         raise DomainError(f"moment order must be positive, got {s}")
-    if s < 512.0:
-        return 4.0 ** s / (8.0 * math.pi) * gamma_ratio(s) ** 2
-    if s < 1024.0:  # where the half power is finite
+    if 1e-155 < s < 512.0:
+        scale = 4.0 ** s / (8.0 * math.pi)
+        ratio = gamma_ratio(s)
+        try:
+            return scale * ratio ** 2
+        except OverflowError:  # the square alone, below s of about 8.4e-155
+            value = scale * ratio * ratio
+        if value < math.inf:
+            return value
+    elif 512.0 <= s < 1024.0:  # where the half power is finite
         half = 4.0 ** (0.5 * s)
         value = half * (half * gamma_ratio(s) ** 2 / (8.0 * math.pi))
         if value < math.inf:

@@ -33,10 +33,10 @@ relative error of order exp(-4 pi / sqrt(u)) / sqrt(u).
 """
 
 import math
-from dataclasses import dataclass
 
 from ._i2_tables import CHEB_BAND, CHEB_COEFFICIENTS, RESIDUE_TRIPLES
 from .errors import ConvergenceError, DomainError
+from .record import FrozenRecord, set_field
 from .renorm import _asymptotic_exponent, a0_exact
 from .specfun import PI_SQUARED, TWO_PI_SQUARED, dilog
 
@@ -91,46 +91,51 @@ def _moment_series(coefficients, delta, total):
     return total
 
 
-@dataclass(frozen=True)
-class GapParams:
+class GapParams(FrozenRecord):
     """Physical inputs: on-site coupling u and hopping t, both positive and finite."""
 
-    u: float
-    t: float = 1.0
+    __slots__ = ("u", "t")
 
-    def __post_init__(self):
-        if not self.u > 0:
+    def __init__(self, u, t=1.0):
+        if not u > 0:
             raise DomainError("coupling must be positive")
-        if not self.t > 0:
+        if not t > 0:
             raise DomainError("hopping must be positive")
-        if not (math.isfinite(self.u) and math.isfinite(self.t)):
+        if not (math.isfinite(u) and math.isfinite(t)):
             raise DomainError(f"coupling must be positive and finite, "
-                              f"got u = {self.u}, t = {self.t}")
+                              f"got u = {u}, t = {t}")
+        set_field(self, "u", u)
+        set_field(self, "t", t)
 
 
-@dataclass(frozen=True)
-class GapSolution:
+class GapSolution(FrozenRecord):
     """A solved gap with solver diagnostics.
 
     ``residual`` is |1/u - rhs| in the units of the original equation;
     ``bracket`` is the interval handed to ``_brent``; its lower end is guess/4.
     """
 
-    delta: float
-    residual: float
-    bracket: tuple
-    evaluations: int
+    __slots__ = ("delta", "residual", "bracket", "evaluations")
+
+    def __init__(self, delta, residual, bracket, evaluations):
+        set_field(self, "delta", delta)
+        set_field(self, "residual", residual)
+        set_field(self, "bracket", bracket)
+        set_field(self, "evaluations", evaluations)
 
 
-@dataclass(frozen=True)
-class AsymptoticComparison:
+class AsymptoticComparison(FrozenRecord):
     """Numeric gap against its small-coupling asymptotic form at one u."""
 
-    u: float
-    delta_numeric: float
-    delta_asymptotic: float
-    rel_dev: float
-    bound_scale: float
+    __slots__ = ("u", "delta_numeric", "delta_asymptotic", "rel_dev",
+                 "bound_scale")
+
+    def __init__(self, u, delta_numeric, delta_asymptotic, rel_dev, bound_scale):
+        set_field(self, "u", u)
+        set_field(self, "delta_numeric", delta_numeric)
+        set_field(self, "delta_asymptotic", delta_asymptotic)
+        set_field(self, "rel_dev", rel_dev)
+        set_field(self, "bound_scale", bound_scale)
 
 
 def i1_closed(delta):

@@ -15,9 +15,9 @@ reference.
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
+from .record import FrozenRecord, set_field
 
 #: fixed default seed of the Monte Carlo guard, for reproducible runs
 DEFAULT_MC_SEED = 1729
@@ -28,21 +28,21 @@ DEFAULT_MC_SEED = 1729
 _MAX_DEPTH_CEILING = 2 ** 31 - 1
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(FrozenRecord):
     """Tolerances and subdivision limit governing every integral in the package."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    max_depth: int = 200
+    __slots__ = ("rel_tol", "abs_tol", "max_depth")
 
-    def __post_init__(self):
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+    def __init__(self, rel_tol=1e-10, abs_tol=1e-13, max_depth=200):
+        if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
             raise DomainError("quadrature tolerances must be positive and finite")
-        if not (isinstance(self.max_depth, int)
-                and 1 <= self.max_depth <= _MAX_DEPTH_CEILING):
+        if not (isinstance(max_depth, int)
+                and 1 <= max_depth <= _MAX_DEPTH_CEILING):
             raise DomainError(
                 f"max_depth must be an integer in [1, {_MAX_DEPTH_CEILING}]")
+        set_field(self, "rel_tol", rel_tol)
+        set_field(self, "abs_tol", abs_tol)
+        set_field(self, "max_depth", max_depth)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

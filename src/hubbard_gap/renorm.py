@@ -29,12 +29,12 @@ constant is pi e^(-gamma).
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .dos import (LOG_BAND_EDGE, LOG_SPLIT, _moment_split_head,
                   _split_moment, dos_log_subtracted, dos_moment)
 from .errors import ConvergenceError, DomainError, FitDegeneracyError
 from .quadrature import DEFAULT_CONFIG, adaptive_quad
+from .record import FrozenRecord, set_field
 from .specfun import PI_SQUARED, TWO_PI_SQUARED
 
 EULER_GAMMA = 0.57721566490153286061
@@ -78,10 +78,26 @@ def b1_constant(a0):
 
 
 def j2_closed(s):
-    """Elementary log-moment 4^s (1 + 2 s ln 2) / (2 pi^2 s^2)."""
+    """Elementary log-moment 4^s (1 + 2 s ln 2) / (2 pi^2 s^2).
+
+    The product 4^s (1 + 2 s ln 2) overflows from s = 507.27, while J2
+    stays finite up to s of about 518.4; from there on the power is split
+    into two halves, one multiplied in before and one after the division.
+    A moment beyond double range (also below s of about 1.68e-155, where
+    1/s^2 overflows) raises ConvergenceError.
+    """
     if not s > 0:
         raise DomainError(f"moment order must be positive, got {s}")
-    return 4.0 ** s * (1.0 + 2.0 * s * math.log(2.0)) / (TWO_PI_SQUARED * s * s)
+    log_part = 1.0 + 2.0 * s * math.log(2.0)
+    pole = TWO_PI_SQUARED * s * s  # 0 where s * s underflows
+    value = 4.0 ** s * log_part / pole if pole and s < 512.0 else math.inf
+    if value == math.inf and 1.0 < s < 1024.0:  # where the half power is finite
+        half = 4.0 ** (0.5 * s)
+        value = half * (half * log_part / pole)
+    if not value < math.inf:
+        raise ConvergenceError(
+            f"log moment J2 (closed form) leaves double range at s = {s}")
+    return value
 
 
 def mellin_difference(s, cfg=DEFAULT_CONFIG):
@@ -94,18 +110,19 @@ def mellin_difference(s, cfg=DEFAULT_CONFIG):
     return _split_moment(s, dos_log_subtracted, False, cfg, "subtracted moment")
 
 
-@dataclass(frozen=True)
-class LaurentFit:
+class LaurentFit(FrozenRecord):
     """Coefficients of a least-squares fit against {s^-2, s^-1, 1, s}."""
 
-    c_m2: float
-    c_m1: float
-    c_0: float
-    fit_residual: float
+    __slots__ = ("c_m2", "c_m1", "c_0", "fit_residual")
+
+    def __init__(self, c_m2, c_m1, c_0, fit_residual):
+        set_field(self, "c_m2", c_m2)
+        set_field(self, "c_m1", c_m1)
+        set_field(self, "c_0", c_0)
+        set_field(self, "fit_residual", fit_residual)
 
 
-@dataclass(frozen=True)
-class RegularizedLimit:
+class RegularizedLimit(FrozenRecord):
     """Laurent fits of J1 and of J1 - J2, with the extrapolated limit.
 
     ``difference_extrapolated`` is the Neville extrapolation of
@@ -114,11 +131,16 @@ class RegularizedLimit:
     J1 - J2 on the grid the fits were made on, in grid order.
     """
 
-    j1_fit: LaurentFit
-    difference_fit: LaurentFit
-    difference_extrapolated: float
-    j1_values: tuple
-    difference_values: tuple
+    __slots__ = ("j1_fit", "difference_fit", "difference_extrapolated",
+                 "j1_values", "difference_values")
+
+    def __init__(self, j1_fit, difference_fit, difference_extrapolated,
+                 j1_values, difference_values):
+        set_field(self, "j1_fit", j1_fit)
+        set_field(self, "difference_fit", difference_fit)
+        set_field(self, "difference_extrapolated", difference_extrapolated)
+        set_field(self, "j1_values", j1_values)
+        set_field(self, "difference_values", difference_values)
 
 
 def _validated_grid(s_grid):
@@ -370,18 +392,23 @@ def gap_ratio_expansion(u, a1, b1):
     return BCS_RATIO + 0.25 * math.exp(-EULER_GAMMA) * (a1 - b1) * math.sqrt(u)
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
-    """Every derived constant with its deviation diagnostics."""
+class ConstantsReport(FrozenRecord):
+    """Every derived constant with its deviation diagnostics (a new empty
+    dict when ``deviations`` is not given)."""
 
-    a0_numeric: float
-    a0_exact: float
-    b1: float
-    a1: float
-    gap_ratio_leading: float
-    gap_ratio_slope: float
-    sech_integral: float
-    deviations: dict = field(default_factory=dict)
+    __slots__ = ("a0_numeric", "a0_exact", "b1", "a1", "gap_ratio_leading",
+                 "gap_ratio_slope", "sech_integral", "deviations")
+
+    def __init__(self, a0_numeric, a0_exact, b1, a1, gap_ratio_leading,
+                 gap_ratio_slope, sech_integral, deviations=None):
+        set_field(self, "a0_numeric", a0_numeric)
+        set_field(self, "a0_exact", a0_exact)
+        set_field(self, "b1", b1)
+        set_field(self, "a1", a1)
+        set_field(self, "gap_ratio_leading", gap_ratio_leading)
+        set_field(self, "gap_ratio_slope", gap_ratio_slope)
+        set_field(self, "sech_integral", sech_integral)
+        set_field(self, "deviations", {} if deviations is None else deviations)
 
 
 def constants_report(cfg=DEFAULT_CONFIG):

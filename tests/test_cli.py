@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -229,8 +228,10 @@ class TestRegularize:
         assert code == 0
         payload = json.loads(out)
         limit = regularized_limit([0.4, 0.2, 0.1, 0.05, 0.025])
-        assert payload["j1_fit"] == dataclasses.asdict(limit.j1_fit)
-        assert payload["difference_fit"] == dataclasses.asdict(limit.difference_fit)
+        fields = ("c_m2", "c_m1", "c_0", "fit_residual")
+        for key in ("j1_fit", "difference_fit"):
+            fit = getattr(limit, key)
+            assert payload[key] == {name: getattr(fit, name) for name in fields}
         assert payload["difference_extrapolated"] == limit.difference_extrapolated
         assert [row["j1_numeric"] for row in payload["rows"]] == list(limit.j1_values)
         assert ([row["difference"] for row in payload["rows"]]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -27,9 +26,8 @@ REMAINDER_BOUND = 5e-3
 class TestQuadratureConfig:
     def test_defaults_valid(self):
         cfg = QuadratureConfig()
-        assert dataclasses.astuple(cfg) == (1e-10, 1e-13, 200)
-        assert [f.name for f in dataclasses.fields(cfg)] == [
-            "rel_tol", "abs_tol", "max_depth"]
+        assert (cfg.rel_tol, cfg.abs_tol, cfg.max_depth) == (1e-10, 1e-13, 200)
+        assert list(cfg._fields) == ["rel_tol", "abs_tol", "max_depth"]
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0},
@@ -232,7 +230,17 @@ class TestMoments:
             exact = mp.power(4, s) / (8 * mp.pi) * (mp.gamma(half) / mp.gamma(half + 0.5)) ** 2
         assert dos_moment_exact(s) == pytest.approx(float(exact), rel=1e-12)
 
-    @pytest.mark.parametrize("s", [518.34, 600.0, 1e300, math.inf])
+    @pytest.mark.parametrize("s", [1e-150, 8e-155, 5e-155, 1.7e-155])
+    def test_closed_form_at_small_order(self, s):
+        # the squared Gamma ratio alone overflows below s = 8.4e-155, the
+        # moment, 1/(2 pi^2 s^2) there, only below s = 1.68e-155
+        with mp.workdps(40):
+            half = mp.mpf(s) / 2
+            exact = mp.power(4, s) / (8 * mp.pi) * (mp.gamma(half) / mp.gamma(half + 0.5)) ** 2
+        assert dos_moment_exact(s) == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [518.34, 600.0, 1e300, math.inf,
+                                   1.6e-155, 1e-155, 1e-300, 5e-324])
     def test_closed_form_leaves_double_range(self, s):
         with pytest.raises(ConvergenceError, match=re.escape(
                 f"DOS moment (closed form) leaves double range at s = {s}")):

@@ -1,0 +1,115 @@
+"""The seven records behave as the frozen dataclasses they replace did.
+
+Each record is checked against a frozen dataclass with the same name and
+fields, built here: the same ``repr`` text and the same hash.
+"""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from hubbard_gap import (AsymptoticComparison, ConstantsReport, DomainError,
+                         GapParams, GapSolution, LaurentFit, QuadratureConfig,
+                         RegularizedLimit)
+
+FIT = LaurentFit(0.0506, 0.1405, 0.0070, 1.2e-12)
+
+RECORDS = [
+    (GapParams, (1.0, 1.0)),
+    (GapSolution, (0.0597, 3.1e-16, (0.0149, 0.239), 13)),
+    (AsymptoticComparison, (1.0, 0.0597, 0.0598, 5e-5, 2.2e-6)),
+    (QuadratureConfig, (1e-8, 1e-12, 50)),
+    (LaurentFit, (0.0506, 0.1405, 0.0070, 1.2e-12)),
+    (RegularizedLimit, (FIT, FIT, 0.0070134, (0.77, 1.9), (0.0071, 0.0072))),
+    (ConstantsReport, (0.0070134, 0.0070134, 1e-15, 0.326, 1.764, 0.14, 1.989,
+                       {"b1_magnitude": 1e-15})),
+]
+
+
+def twin(cls, args):
+    """The frozen dataclass that ``cls`` replaces, built from ``args``."""
+    return dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)(*args)
+
+
+@pytest.mark.parametrize("cls, args", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+class TestRecord:
+    def test_positional_equals_keyword(self, cls, args):
+        record = cls(*args)
+        assert record == cls(**dict(zip(cls._fields, args)))
+        assert [getattr(record, name) for name in cls._fields] == list(args)
+
+    def test_repr_is_the_dataclass_text(self, cls, args):
+        assert repr(cls(*args)) == repr(twin(cls, args))
+
+    def test_equality_and_hash(self, cls, args):
+        record = cls(*args)
+        changed = cls(*args[:-1], {} if isinstance(args[-1], dict) else 2 * args[-1])
+        assert record != changed
+        assert record != tuple(args)
+        if cls is ConstantsReport:  # its deviations dict is unhashable
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(cls(*args)) == hash(twin(cls, args))
+
+    def test_frozen(self, cls, args):
+        record = cls(*args)
+        name = cls._fields[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, args[0])
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) == args[0]
+
+    @pytest.mark.parametrize("clone", [
+        lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip(self, cls, args, clone):
+        record = cls(*args)
+        other = clone(record)
+        assert type(other) is cls
+        assert other == record
+
+    def test_asdict_in_field_order(self, cls, args):
+        record = cls(*args)
+        assert list(record._asdict()) == list(cls._fields)
+        assert list(record._asdict().values()) == list(args)
+        assert cls.__match_args__ == cls._fields
+
+
+def test_records_of_different_types_differ():
+    values = (0.0506, 0.1405, 0.0070, 13)
+    assert LaurentFit(*values) != GapSolution(*values)
+
+
+def test_match_positional():
+    match GapParams(2.0, 0.5):
+        case GapParams(u, t):
+            assert (u, t) == (2.0, 0.5)
+
+
+def test_defaults():
+    assert GapParams(1.5) == GapParams(1.5, 1.0)
+    assert QuadratureConfig() == QuadratureConfig(1e-10, 1e-13, 200)
+    report = ConstantsReport(*RECORDS[-1][1][:-1])
+    assert report.deviations == {}
+    assert report.deviations is not ConstantsReport(*RECORDS[-1][1][:-1]).deviations
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (GapParams, {"u": 0.0}, "coupling must be positive"),
+    (GapParams, {"u": 1.0, "t": -1.0}, "hopping must be positive"),
+    (GapParams, {"u": float("inf")},
+     "coupling must be positive and finite, got u = inf, t = 1.0"),
+    (QuadratureConfig, {"rel_tol": 0.0},
+     "quadrature tolerances must be positive and finite"),
+    (QuadratureConfig, {"max_depth": 2.0},
+     r"max_depth must be an integer in \[1, 2147483647\]"),
+])
+def test_domain_messages(cls, kwargs, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        cls(**kwargs)

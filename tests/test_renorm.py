@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import mpmath as mp
@@ -87,6 +88,28 @@ class TestJ2:
     def test_domain(self):
         with pytest.raises(DomainError):
             j2_closed(0.0)
+
+    def test_small_order_against_mpmath(self):
+        s = 1e-150
+        with mp.workdps(40):
+            exact = (mp.power(4, s) * (1 + 2 * s * mp.log(2))
+                     / (2 * mp.pi ** 2 * mp.mpf(s) ** 2))
+        assert j2_closed(s) == pytest.approx(float(exact), rel=1e-15)
+
+    @pytest.mark.parametrize("s", [507.0, 507.5, 512.0, 515.0, 518.0])
+    def test_up_to_double_range(self, s):
+        # 4^s (1 + 2 s ln 2) overflows from s = 507.27, J2 only from 518.4
+        with mp.workdps(40):
+            exact = mp.power(4, s) * (1 + 2 * s * mp.log(2)) / (2 * mp.pi ** 2 * s ** 2)
+        assert j2_closed(s) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.6e-155, 1e-155, 1e-300, 5e-324,
+                                   518.5, 600.0, 1e300, math.inf])
+    def test_leaves_double_range(self, s):
+        # 1/s^2 overflows to inf or s * s underflows to 0; J2 overflows
+        with pytest.raises(ConvergenceError, match=re.escape(
+                f"log moment J2 (closed form) leaves double range at s = {s}")):
+            j2_closed(s)
 
 
 class TestMellinPair:

@@ -8,6 +8,8 @@ both plain Python.  numpy is left to the Monte Carlo oracle: the Laurent
 fits of ``regularize`` run a plain-Python Jacobi SVD and
 ``sweep --log-spacing`` builds its grid with ``math``.  So neither
 ``import hubbard_gap`` nor any of the six commands loads numpy or scipy.
+Nor do they load ``dataclasses`` or ``inspect``: the records are plain
+``__slots__`` classes.  ``json`` is loaded only by ``--format json``.
 A coupling ratio that overflows ends the bracket search with an error
 instead of growing the bracket forever.
 """
@@ -79,12 +81,15 @@ LINEAR_SWEEP = ("sweep", "--u-min", "0.5", "--u-max", "1", "--points", "3")
     ("-m", "hubbard_gap", "dos", "--points", "5", "--eps-min", "1e-300",
      "--eps-max", "4"),
     ("-m", "hubbard_gap", "regularize", "--s-values", "0.4,0.2,0.1,0.05"),
+    ("-m", "hubbard_gap", "solve", "--u", "1", "--format", "json"),
 ], ids=["import", "solve", "ratio", "linear-sweep", "log-sweep", "constants",
-        "dos", "regularize"])
+        "dos", "regularize", "solve-json"])
 def test_loads_neither_numpy_nor_scipy(argv):
     modules = imported_modules(*argv)
     assert "hubbard_gap" in modules
-    assert not {"numpy", "scipy"} & modules
+    assert not {"numpy", "scipy", "dataclasses", "inspect"} & modules
+    # json is imported where JSON is written, and only there
+    assert ("json" in modules) == ("json" in argv)
 
 
 def test_no_module_imports_scipy():

@@ -17,11 +17,12 @@ the change wins (the direction ``BENCHMARK.json`` calls better);
 and ``gap_solve(GapParams(u))`` on ``GRID_POINTS`` log-spaced couplings
 u in [1e-5, 20], as ``repr(delta)`` or the exception's class name, with
 the grid points whose output changed; and the wall time of a fresh
-``python -m hubbard_gap`` process for each of ``COLD_COMMANDS``,
-``COLD_REPEATS`` times per side, alternating, as the best and the median
-in seconds.  Also records the CPU count, the revisions, and the python,
-numpy and scipy versions.  Exit code 0 when every run was correct, 1 when
-not, 2 on a usage or git error.
+``python -m hubbard_gap`` process for each of ``COLD_COMMANDS``, and of a
+bare ``python -c pass`` (the floor), ``COLD_REPEATS`` times per side,
+alternating, as the best and the median in seconds and the best's
+distance to the floor's.  Also records the CPU count, the revisions, and
+the python, numpy and scipy versions.  Exit code 0 when every run was
+correct, 1 when not, 2 on a usage or git error.
 """
 
 import argparse
@@ -49,7 +50,11 @@ COLD_COMMANDS = (
     ("regularize", "--s-values", "0.4,0.2,0.1,0.05,0.025"),
     ("sweep", "--u-min", "0.3", "--u-max", "2", "--points", "5", "--log-spacing"),
     ("solve", "--u", "1"),
+    ("constants", "--seed", "5"),
+    ("ratio", "--u-values", "0.02,0.1"),
 )
+#: the interpreter alone, the floor under every cold command
+FLOOR = ("-c", "pass")
 COLD_REPEATS = 15
 
 GRID_SCRIPT = """
@@ -113,20 +118,29 @@ def gap_grid(root, grid):
 
 
 def cold_times(roots):
-    """Wall seconds of fresh ``python -m hubbard_gap`` processes, per side
-    and command: the best and the median of ``COLD_REPEATS`` alternating runs."""
-    times = {side: {" ".join(argv): [] for argv in COLD_COMMANDS} for side in roots}
+    """Wall seconds of fresh processes, per side and command: the best and
+    the median of ``COLD_REPEATS`` alternating runs, and the best less the
+    best of the bare interpreter (``FLOOR``)."""
+    commands = {"python " + " ".join(FLOOR): FLOOR}
+    commands.update((" ".join(argv), ("-m", "hubbard_gap", *argv))
+                    for argv in COLD_COMMANDS)
+    times = {side: {label: [] for label in commands} for side in roots}
     for index in range(COLD_REPEATS):
-        for argv in COLD_COMMANDS:
+        for label, argv in commands.items():
             for side in sorted(roots, reverse=index % 2 == 1):
                 env = dict(os.environ, PYTHONPATH=str(Path(roots[side]) / "src"))
                 start = time.perf_counter()
-                subprocess.run([sys.executable, "-m", "hubbard_gap", *argv],
+                subprocess.run([sys.executable, *argv],
                                capture_output=True, env=env, check=True, timeout=120)
-                times[side][" ".join(argv)].append(time.perf_counter() - start)
-    return {side: {label: {"best_s": min(values), "median_s": statistics.median(values)}
-                   for label, values in commands.items()}
-            for side, commands in times.items()}
+                times[side][label].append(time.perf_counter() - start)
+    out = {}
+    for side, per_command in times.items():
+        floor = min(per_command["python " + " ".join(FLOOR)])
+        out[side] = {label: {"best_s": min(values),
+                             "median_s": statistics.median(values),
+                             "over_floor_s": min(values) - floor}
+                     for label, values in per_command.items()}
+    return out
 
 
 def summarize(runs):

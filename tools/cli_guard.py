@@ -69,9 +69,17 @@ INVOCATIONS = [
     ("regularize", "--s-values", "512,511,510,509"),
     ("regularize", "--s-values", "1e-3,1e-10,1e-100,1e-160"),
     ("ratio", "--u-values", "1e-300"),
-    # help text of every command but dos
+    # the parser itself: help text of the program and of every command,
+    # and the usage errors (exit 2) of a missing, unknown or malformed flag
+    ("--help",),
     *[(command, "--help")
-      for command in ("solve", "sweep", "constants", "regularize", "ratio")],
+      for command in ("solve", "sweep", "dos", "constants", "regularize", "ratio")],
+    (),
+    ("frobnicate",),
+    ("solve",),
+    ("solve", "--u", "1", "--format", "xml"),
+    ("solve", "--u", "1", "--bogus"),
+    ("constants", "--max-depth", "x"),
 ]
 
 
