@@ -18,7 +18,7 @@ elliptic parameter m = ((4 - eps)/(4 + eps))^2, evaluated through
 and no DOS point needs more than ``math``.
 Two independent reference routes live in ``hubbard_gap.oracles``: the
 level-set reduction by adaptive quadrature (``dos_value_quadrature``)
-and the defining two-dimensional integral with a Monte Carlo guard
+and the defining two-dimensional integral with a trapezoid-rule guard
 (``dos_pushforward_oracle``); the test suite holds all three together.
 
 Moments of eps^(s-1) against N0 on [0, 4] come both numerically
@@ -104,11 +104,17 @@ def dos_value(epsilon):
     return dos_value_elliptic(epsilon)
 
 
+def _log_16_over(e):
+    """ln(16/e), also for e below 16/DBL_MAX ~ 8.9e-308, where 16/e overflows."""
+    ratio = 16.0 / e
+    return math.log(ratio) if ratio < math.inf else math.log(16.0) - math.log(e)
+
+
 def dos_asymptotic(epsilon):
     """Two-term singular expansion of N0 about the van Hove point."""
     if not 0.0 < epsilon < BAND_EDGE:
         raise DomainError(f"asymptotic form defined on 0 < eps < 4, got {epsilon}")
-    log_term = math.log(16.0 / epsilon)
+    log_term = _log_16_over(epsilon)
     return (log_term / TWO_PI_SQUARED
             + epsilon * epsilon * (log_term - 1.0) / (128.0 * PI_SQUARED))
 
@@ -126,7 +132,7 @@ def dos_log_subtracted(epsilon):
     if e >= BAND_EDGE:
         raise DomainError(f"subtracted DOS defined on |eps| < 4, got {epsilon}")
     if e < DELTA_SPLIT:
-        return e * e * (math.log(16.0 / e) - 1.0) / (128.0 * PI_SQUARED)
+        return e * e * (_log_16_over(e) - 1.0) / (128.0 * PI_SQUARED)
     return dos_value_elliptic(e) - math.log(16.0 / e) / TWO_PI_SQUARED
 
 

@@ -12,12 +12,12 @@ import math
 from .dos import (BAND_EDGE, DELTA_SPLIT, dos_log_subtracted,
                   dos_value_elliptic)
 from .errors import ConvergenceError, DomainError
-from .quadrature import DEFAULT_CONFIG, DEFAULT_MC_SEED, adaptive_quad
+from .quadrature import DEFAULT_CONFIG, adaptive_quad
 from .renorm import SECH_CUTOFF
 from .specfun import PI_SQUARED, TWO_PI_SQUARED
 
-#: Monte Carlo sample count of the pushforward oracle's guard
-_MC_SAMPLES = 200_000
+#: panels per half axis of the pushforward oracle's trapezoid guard
+_GRID_PANELS = 128
 
 
 def dos_value_quadrature(epsilon, cfg=DEFAULT_CONFIG):
@@ -53,22 +53,24 @@ def dos_value_quadrature(epsilon, cfg=DEFAULT_CONFIG):
     return val / PI_SQUARED
 
 
-def _mc_values(g, eps):
-    """Apply a scalar-or-vectorised test function to sampled energies."""
-    import numpy as np  # only the Monte Carlo guard uses numpy
+def _trapezoid_guard(g, quad_val):
+    """T_m, the trapezoid rule on the nodes (i, j) pi/m of [0, pi]^2 with ends at
+    half weight, and the bound 4 |T_m - T_m/2| + 1e-9 (1 + |quad_val|), T_m/2
+    taking every other node.  By k -> -k, T_m is the periodic rule on the zone,
+    geometric for analytic g (Trefethen and Weideman, SIAM Rev. 56 (2014) 385)."""
+    m = _GRID_PANELS
+    cos_k = [math.cos(j * math.pi / m) for j in range(m + 1)]
+    rows = [[g(-2.0 * (c1 + c2)) for c2 in cos_k] for c1 in cos_k]
 
-    try:
-        arr = np.asarray(g(eps), dtype=float)
-        if arr.shape == eps.shape:
-            return arr
-        if arr.shape == ():
-            return np.full(eps.shape, float(arr))
-    except Exception:
-        pass
-    return np.fromiter((g(float(e)) for e in eps), dtype=float, count=eps.size)
+    def trapezoid(values):
+        return sum(values) - 0.5 * (values[0] + values[-1])
+
+    fine = trapezoid([trapezoid(row) for row in rows]) / m ** 2
+    coarse = trapezoid([trapezoid(row[::2]) for row in rows[::2]]) / (m // 2) ** 2
+    return fine, 4.0 * abs(fine - coarse) + 1e-9 * (1.0 + abs(quad_val))
 
 
-def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG, seed=DEFAULT_MC_SEED):
+def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG):
     """Ground-truth functional int g(eps) N0(eps) d(eps).
 
     Evaluates the defining Brillouin-zone double integral
@@ -76,13 +78,10 @@ def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG, seed=DEFAULT_MC_SEED):
         (2 pi)^-2 int int g(-2 (cos k1 + cos k2)) dk1 dk2
 
     by nested adaptive quadrature (restricted to [0, pi]^2 by the k -> -k
-    symmetry) and cross-checks it against a plain Monte Carlo estimate on
-    the full zone.  Raises ConvergenceError when the two estimates
-    disagree beyond their combined error bars; otherwise returns the
-    quadrature value.  Deterministic for fixed cfg and seed.
+    symmetry), checked against ``_trapezoid_guard``: ConvergenceError where
+    the two disagree beyond its bound, else the quadrature value.  ``g`` is
+    called on Python floats only.
     """
-    import numpy as np
-
     def inner(k1):
         c1 = math.cos(k1)
         return adaptive_quad(lambda k2: g(-2.0 * (c1 + math.cos(k2))),
@@ -90,17 +89,11 @@ def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG, seed=DEFAULT_MC_SEED):
 
     quad_val = adaptive_quad(inner, 0.0, math.pi, cfg,
                              "pushforward oracle (outer)") / PI_SQUARED
-
-    rng = np.random.default_rng(seed)
-    k = rng.uniform(-math.pi, math.pi, size=(_MC_SAMPLES, 2))
-    vals = _mc_values(g, -2.0 * (np.cos(k[:, 0]) + np.cos(k[:, 1])))
-    mc_mean = float(vals.mean())
-    mc_err = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    guard = 6.0 * mc_err + 1e-6 * (1.0 + abs(quad_val))
-    if abs(quad_val - mc_mean) > guard:
+    trapezoid, bound = _trapezoid_guard(g, quad_val)
+    if abs(quad_val - trapezoid) > bound:
         raise ConvergenceError(
-            "pushforward oracle: quadrature and Monte Carlo disagree "
-            f"({quad_val:.9g} vs {mc_mean:.9g} +- {mc_err:.2g})")
+            "pushforward oracle: quadrature and trapezoid rule disagree "
+            f"({quad_val:.9g} vs {trapezoid:.9g}, bound {bound:.2g})")
     return quad_val
 
 

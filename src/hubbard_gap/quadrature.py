@@ -19,9 +19,6 @@ import sys
 from .errors import ConvergenceError, DomainError
 from .record import FrozenRecord, set_field
 
-#: fixed default seed of the Monte Carlo guard, for reproducible runs
-DEFAULT_MC_SEED = 1729
-
 #: QUADPACK takes the subdivision limit as a C int; ``adaptive_quad`` keeps
 #: that ceiling and holds one heap entry per subinterval, so a depth near
 #: it may exhaust memory before an integral that cannot converge stops

@@ -10,7 +10,7 @@ function of its scalar arguments, written with ``math`` alone.
 
 import math
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 PI_SQUARED = math.pi ** 2
 TWO_PI_SQUARED = 2.0 * PI_SQUARED
@@ -71,15 +71,25 @@ def gamma_ratio(s):
     """Gamma(s/2) / Gamma(1/2 + s/2), via log-Gamma differences.
 
     The log route avoids overflow for large s; both arguments are positive,
-    so no reflection is needed.
+    so no reflection is needed.  ConvergenceError where the ratio (about
+    2/(sqrt(pi) s), s < 6.3e-309) or lgamma(s/2) (s > 5.1e305) overflows.
     """
     if not s > 0:
         raise DomainError(f"gamma_ratio needs s > 0, got {s}")
-    return math.exp(math.lgamma(0.5 * s) - math.lgamma(0.5 + 0.5 * s))
+    try:
+        return math.exp(math.lgamma(0.5 * s) - math.lgamma(0.5 + 0.5 * s))
+    except (ValueError, OverflowError):  # ValueError: lgamma(0.0) at s = 5e-324
+        what = "lgamma(s/2)" if s > 1.0 else "Gamma ratio"
+        raise ConvergenceError(f"{what} leaves double range at s = {s}") from None
 
 
 def cosine_power_integral(s):
     """Closed form of int_0^{pi/2} cos(k)^(s-1) dk = (sqrt(pi)/2) Gamma(s/2)/Gamma(1/2+s/2)."""
     if not s > 0:
         raise DomainError(f"cosine power integral needs s > 0, got {s}")
-    return 0.5 * math.sqrt(math.pi) * gamma_ratio(s)
+    try:
+        return 0.5 * math.sqrt(math.pi) * gamma_ratio(s)
+    except ConvergenceError:
+        if s > 1.0 or 1.0 / s == math.inf:
+            raise
+        return 1.0 / s  # 1/s + ln 2 + O(s) rounds to 1/s where only the ratio overflows

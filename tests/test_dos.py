@@ -11,6 +11,7 @@ from hubbard_gap import (ConvergenceError, DomainError, QuadratureConfig,
                          dos_asymptotic, dos_moment, dos_moment_exact,
                          dos_pushforward_oracle, dos_value_elliptic,
                          dos_value_quadrature)
+from hubbard_gap import oracles
 from hubbard_gap.dos import (DEFAULT_CONFIG, DELTA_SPLIT, _ellipkm1,
                              dos_log_subtracted)
 
@@ -136,6 +137,25 @@ class TestDosAsymptotic:
         with pytest.raises(DomainError):
             dos_asymptotic(eps)
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310, 8e-308])
+    def test_where_16_over_eps_overflows(self, eps):
+        # below 16/DBL_MAX ~ 8.9e-308, where ln(16/eps) was inf and 0 * inf nan
+        with mp.workdps(40):
+            e = mp.mpf(eps)
+            log_term = mp.log(16 / e)
+            correction = e * e * (log_term - 1) / (128 * mp.pi ** 2)
+            expected = log_term / (2 * mp.pi ** 2) + correction
+        assert dos_asymptotic(eps) == pytest.approx(float(expected), rel=1e-15)
+        assert dos_log_subtracted(eps) == float(correction) == 0.0
+
+    def test_unchanged_where_16_over_eps_is_finite(self):
+        eps = 1e-307
+        log_term = math.log(16.0 / eps)
+        assert dos_asymptotic(eps) == (
+            log_term / TWO_PI_SQ
+            + eps * eps * (log_term - 1.0) / (128.0 * math.pi ** 2))
+        assert dos_log_subtracted(eps) == 0.0
+
 
 class TestLogSubtracted:
     def test_matches_direct_subtraction(self):
@@ -170,35 +190,46 @@ class TestPushforwardOracle:
         assert dos_pushforward_oracle(g, CFG) == dos_pushforward_oracle(g, CFG)
 
     def test_scalar_fallback(self):
-        # plain-math callables cannot take arrays; the sampler falls back
-        value = dos_pushforward_oracle(lambda e: math.cos(e), CFG,
-                                       seed=11)
+        # g is called on Python floats only, so plain-math callables work
+        value = dos_pushforward_oracle(lambda e: math.cos(e), CFG)
         assert value == pytest.approx(dos_pushforward_oracle(np.cos, CFG),
                                       rel=1e-9)
 
-    def test_disagreement_raises(self):
-        # a function of the sample index cannot match the quadrature
-        class Liar:
-            def __call__(self, e):
-                if isinstance(e, np.ndarray):
-                    return np.full(e.shape, 5.0)
-                return 1.0
-
-        with pytest.raises(ConvergenceError):
-            dos_pushforward_oracle(Liar(), CFG)
+    def test_disagreement_raises(self, monkeypatch):
+        # a quadrature off by 1e-6 relative per call is far outside the bound
+        exact = oracles.adaptive_quad
+        monkeypatch.setattr(oracles, "adaptive_quad",
+                            lambda *args: exact(*args) * (1.0 + 1e-6))
+        with pytest.raises(ConvergenceError, match="trapezoid rule disagree"):
+            dos_pushforward_oracle(math.cos, CFG)
 
 
-def _even_sum(g):
-    return lambda e: g(e) + g(-e)
-
-
-@pytest.mark.parametrize("name,g", [
+ORACLE_FUNCTIONS = [
     ("one", lambda e: 1.0 if np.isscalar(e) else np.ones_like(e)),
     ("square", lambda e: e * e),
     ("abs", lambda e: np.abs(e)),
     ("positive_part", lambda e: np.where(np.asarray(e) > 0.0, e, 0.0)),
     ("cosine", np.cos),
-])
+]
+
+
+def step(e):
+    return 1.0 if e > 0.0 else 0.0
+
+
+# the trapezoid rule converges geometrically on analytic g and as m^-2 on
+# the kinks of abs and positive_part; the jump of step lies on the nodes
+# of the diagonal k1 + k2 = pi, where both rules take 0 in place of 1/2,
+# so the error there is first order, about 1/(2m) for T_m
+@pytest.mark.parametrize("name,g,limit", [
+    *[(name, g, 1e-3) for name, g in ORACLE_FUNCTIONS], ("step", step, 2e-2)])
+def test_trapezoid_guard(name, g, limit):
+    value = dos_pushforward_oracle(g, CFG)  # the guard passes
+    trapezoid, bound = oracles._trapezoid_guard(g, value)
+    assert abs(value - trapezoid) <= bound < limit
+
+
+@pytest.mark.parametrize("name,g", ORACLE_FUNCTIONS)
 def test_oracle_equivalence(name, g):
     oracle = dos_pushforward_oracle(g, CFG)
     lhs, _ = quad(lambda e: float(np.asarray(g(e) + g(-e)))

@@ -4,10 +4,11 @@
 ``scipy.optimize.brentq``; the tests pin the port against scipy itself
 (imported here only).  No module of the package imports scipy: the
 quadratures run ``quadrature.adaptive_quad`` and the DOS ``dos._ellipkm1``,
-both plain Python.  numpy is left to the Monte Carlo oracle: the Laurent
-fits of ``regularize`` run a plain-Python Jacobi SVD and
-``sweep --log-spacing`` builds its grid with ``math``.  So neither
-``import hubbard_gap`` nor any of the six commands loads numpy or scipy.
+both plain Python.  No module imports numpy either: the Laurent fits of
+``regularize`` run a plain-Python Jacobi SVD, ``sweep --log-spacing``
+builds its grid with ``math`` and the pushforward oracle's guard is a
+trapezoid rule on plain floats.  So neither ``import hubbard_gap`` nor
+any of the six commands loads numpy or scipy.
 Nor do they load ``dataclasses`` or ``inspect``: the records are plain
 ``__slots__`` classes.  ``json`` is loaded only by ``--format json``.
 A coupling ratio that overflows ends the bracket search with an error
@@ -103,8 +104,9 @@ def test_no_module_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
+            # ast.walk reaches the imports inside functions too
             imported += [f"{path.name}: {name}" for name in names
-                         if name.split(".")[0] == "scipy"]
+                         if name.split(".")[0] in ("numpy", "scipy")]
     assert imported == []
 
 

@@ -4,8 +4,8 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from hubbard_gap import (DomainError, QuadratureConfig, cosine_power_integral,
-                         cosine_power_quadrature, dilog,
+from hubbard_gap import (ConvergenceError, DomainError, QuadratureConfig,
+                         cosine_power_integral, cosine_power_quadrature, dilog,
                          dilog_inversion_residual, gamma_ratio)
 
 PI2 = math.pi ** 2
@@ -99,6 +99,29 @@ class TestGammaRatio:
         with pytest.raises(DomainError):
             gamma_ratio(s)
 
+    # the ratio 2/(sqrt(pi) s) overflows below s = 6.2768e-309; at 5e-324
+    # s/2 rounds to 0, where lgamma itself fails
+    @pytest.mark.parametrize("s", [6.2768e-309, 1e-310, 5e-324])
+    def test_leaves_double_range(self, s):
+        with pytest.raises(ConvergenceError,
+                           match=f"leaves double range at s = {s}"):
+            gamma_ratio(s)
+
+    @pytest.mark.parametrize("s", [1e-300, 6.2769e-309])
+    def test_finite_down_to_the_edge(self, s):
+        with mpmath.workdps(30):
+            reference = float(mpmath.gamma(mpmath.mpf(s) / 2)
+                              / mpmath.gamma(0.5 + mpmath.mpf(s) / 2))
+        assert gamma_ratio(s) == pytest.approx(reference, rel=1e-12)
+        assert gamma_ratio(s) == math.exp(math.lgamma(0.5 * s)
+                                          - math.lgamma(0.5 + 0.5 * s))
+
+    def test_log_gamma_overflow_is_named(self):
+        # lgamma(s/2) overflows from s of about 5.12e305
+        with pytest.raises(ConvergenceError,
+                           match=r"lgamma\(s/2\) leaves double range at s = 1e\+306"):
+            gamma_ratio(1e306)
+
 
 class TestCosinePower:
     def test_exact_low_orders(self):
@@ -114,6 +137,28 @@ class TestCosinePower:
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
         assert cosine_power_quadrature(s, cfg) == pytest.approx(
             cosine_power_integral(s), rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1e-300, 6.2769e-309])
+    def test_unchanged_where_the_ratio_is_finite(self, s):
+        assert cosine_power_integral(s) == 0.5 * math.sqrt(math.pi) * gamma_ratio(s)
+
+    @pytest.mark.parametrize("s", [6.2768e-309, 5.6e-309, 5.5627e-309])
+    def test_pole_where_the_ratio_overflows(self, s):
+        # 1/s + ln 2 + O(s) is 1/s in double precision there
+        with mpmath.workdps(30):
+            exact = (mpmath.sqrt(mpmath.pi) / 2 * mpmath.gamma(mpmath.mpf(s) / 2)
+                     / mpmath.gamma(0.5 + mpmath.mpf(s) / 2))
+        assert cosine_power_integral(s) == float(exact) == 1.0 / s
+
+    @pytest.mark.parametrize("s", [5.5626e-309, 1e-310, 5e-324])
+    def test_leaves_double_range(self, s):
+        with pytest.raises(ConvergenceError,
+                           match=f"leaves double range at s = {s}"):
+            cosine_power_integral(s)
+
+    def test_log_gamma_overflow_passes_through(self):
+        with pytest.raises(ConvergenceError, match=r"lgamma\(s/2\) leaves"):
+            cosine_power_integral(1e306)
 
     @pytest.mark.parametrize("s", [0.0, -0.5])
     def test_domain(self, s):

@@ -38,6 +38,10 @@ INVOCATIONS = [
      "--format", "json"),
     ("dos", "--points", "7", "--eps-min", "0.001", "--eps-max", "4.2"),
     ("dos", "--points", "4", "--eps-min", "0.5", "--eps-max", "4", "--format", "json"),
+    # ln(16/eps) where 16/eps overflows, below 16/DBL_MAX ~ 8.9e-308
+    ("dos", "--points", "3", "--eps-min", "5e-324", "--eps-max", "1e-307"),
+    ("dos", "--points", "3", "--eps-min", "5e-324", "--eps-max", "1e-307",
+     "--format", "json"),
     ("constants",),
     ("constants", "--format", "json", "--seed", "5"),
     ("regularize", "--s-values", "0.4,0.2,0.1,0.05,0.025"),
