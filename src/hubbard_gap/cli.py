@@ -188,21 +188,12 @@ def cmd_dos(args):
 
 
 def cmd_constants(args, cfg):
-    report = constants_report(cfg)
-    record = {
-        "a0_numeric": report.a0_numeric,
-        "a0_exact": report.a0_exact,
-        "b1": report.b1,
-        "a1": report.a1,
-        "sech_integral": report.sech_integral,
-        "gap_ratio_leading": report.gap_ratio_leading,
-        "gap_ratio_slope": report.gap_ratio_slope,
-        "seed": args.seed,
-    }
-    payload = dict(record)
-    payload["deviations"] = dict(report.deviations)
+    record = constants_report(cfg)._asdict()
+    deviations = record.pop("deviations")
+    record["seed"] = args.seed
+    payload = dict(record, deviations=deviations)
     flat = dict(record)
-    for key, value in report.deviations.items():
+    for key, value in deviations.items():
         flat[f"deviation_{key}"] = value
     _emit(payload, [flat], args)
 

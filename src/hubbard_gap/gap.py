@@ -36,7 +36,7 @@ import math
 
 from ._i2_tables import CHEB_BAND, CHEB_COEFFICIENTS, RESIDUE_TRIPLES
 from .errors import ConvergenceError, DomainError
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 from .renorm import _asymptotic_exponent, a0_exact
 from .specfun import PI_SQUARED, TWO_PI_SQUARED, dilog
 
@@ -96,7 +96,10 @@ class GapParams(FrozenRecord):
 
     __slots__ = ("u", "t")
 
-    def __init__(self, u, t=1.0):
+    _defaults = {"t": 1.0}
+
+    def _check(self):
+        u, t = self.u, self.t
         if not u > 0:
             raise DomainError("coupling must be positive")
         if not t > 0:
@@ -104,8 +107,6 @@ class GapParams(FrozenRecord):
         if not (math.isfinite(u) and math.isfinite(t)):
             raise DomainError(f"coupling must be positive and finite, "
                               f"got u = {u}, t = {t}")
-        set_field(self, "u", u)
-        set_field(self, "t", t)
 
 
 class GapSolution(FrozenRecord):
@@ -117,25 +118,12 @@ class GapSolution(FrozenRecord):
 
     __slots__ = ("delta", "residual", "bracket", "evaluations")
 
-    def __init__(self, delta, residual, bracket, evaluations):
-        set_field(self, "delta", delta)
-        set_field(self, "residual", residual)
-        set_field(self, "bracket", bracket)
-        set_field(self, "evaluations", evaluations)
-
 
 class AsymptoticComparison(FrozenRecord):
     """Numeric gap against its small-coupling asymptotic form at one u."""
 
     __slots__ = ("u", "delta_numeric", "delta_asymptotic", "rel_dev",
                  "bound_scale")
-
-    def __init__(self, u, delta_numeric, delta_asymptotic, rel_dev, bound_scale):
-        set_field(self, "u", u)
-        set_field(self, "delta_numeric", delta_numeric)
-        set_field(self, "delta_asymptotic", delta_asymptotic)
-        set_field(self, "rel_dev", rel_dev)
-        set_field(self, "bound_scale", bound_scale)
 
 
 def i1_closed(delta):

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .errors import ConvergenceError, DomainError
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 #: QUADPACK takes the subdivision limit as a C int; ``adaptive_quad`` keeps
 #: that ceiling and holds one heap entry per subinterval, so a depth near
@@ -30,16 +30,15 @@ class QuadratureConfig(FrozenRecord):
 
     __slots__ = ("rel_tol", "abs_tol", "max_depth")
 
-    def __init__(self, rel_tol=1e-10, abs_tol=1e-13, max_depth=200):
-        if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
+    _defaults = {"rel_tol": 1e-10, "abs_tol": 1e-13, "max_depth": 200}
+
+    def _check(self):
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise DomainError("quadrature tolerances must be positive and finite")
-        if not (isinstance(max_depth, int)
-                and 1 <= max_depth <= _MAX_DEPTH_CEILING):
+        if not (isinstance(self.max_depth, int)
+                and 1 <= self.max_depth <= _MAX_DEPTH_CEILING):
             raise DomainError(
                 f"max_depth must be an integer in [1, {_MAX_DEPTH_CEILING}]")
-        set_field(self, "rel_tol", rel_tol)
-        set_field(self, "abs_tol", abs_tol)
-        set_field(self, "max_depth", max_depth)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -115,12 +115,6 @@ class LaurentFit(FrozenRecord):
 
     __slots__ = ("c_m2", "c_m1", "c_0", "fit_residual")
 
-    def __init__(self, c_m2, c_m1, c_0, fit_residual):
-        set_field(self, "c_m2", c_m2)
-        set_field(self, "c_m1", c_m1)
-        set_field(self, "c_0", c_0)
-        set_field(self, "fit_residual", fit_residual)
-
 
 class RegularizedLimit(FrozenRecord):
     """Laurent fits of J1 and of J1 - J2, with the extrapolated limit.
@@ -133,14 +127,6 @@ class RegularizedLimit(FrozenRecord):
 
     __slots__ = ("j1_fit", "difference_fit", "difference_extrapolated",
                  "j1_values", "difference_values")
-
-    def __init__(self, j1_fit, difference_fit, difference_extrapolated,
-                 j1_values, difference_values):
-        set_field(self, "j1_fit", j1_fit)
-        set_field(self, "difference_fit", difference_fit)
-        set_field(self, "difference_extrapolated", difference_extrapolated)
-        set_field(self, "j1_values", j1_values)
-        set_field(self, "difference_values", difference_values)
 
 
 def _validated_grid(s_grid):
@@ -396,19 +382,14 @@ class ConstantsReport(FrozenRecord):
     """Every derived constant with its deviation diagnostics (a new empty
     dict when ``deviations`` is not given)."""
 
-    __slots__ = ("a0_numeric", "a0_exact", "b1", "a1", "gap_ratio_leading",
-                 "gap_ratio_slope", "sech_integral", "deviations")
+    __slots__ = ("a0_numeric", "a0_exact", "b1", "a1", "sech_integral",
+                 "gap_ratio_leading", "gap_ratio_slope", "deviations")
 
-    def __init__(self, a0_numeric, a0_exact, b1, a1, gap_ratio_leading,
-                 gap_ratio_slope, sech_integral, deviations=None):
-        set_field(self, "a0_numeric", a0_numeric)
-        set_field(self, "a0_exact", a0_exact)
-        set_field(self, "b1", b1)
-        set_field(self, "a1", a1)
-        set_field(self, "gap_ratio_leading", gap_ratio_leading)
-        set_field(self, "gap_ratio_slope", gap_ratio_slope)
-        set_field(self, "sech_integral", sech_integral)
-        set_field(self, "deviations", {} if deviations is None else deviations)
+    _defaults = {"deviations": None}
+
+    def _check(self):
+        if self.deviations is None:
+            set_field(self, "deviations", {})
 
 
 def constants_report(cfg=DEFAULT_CONFIG):
@@ -431,8 +412,8 @@ def constants_report(cfg=DEFAULT_CONFIG):
         a0_exact=a0e,
         b1=b1,
         a1=a1,
+        sech_integral=sech,
         gap_ratio_leading=BCS_RATIO,
         gap_ratio_slope=0.25 * math.exp(-EULER_GAMMA) * a1,
-        sech_integral=sech,
         deviations=deviations,
     )

@@ -1,9 +1,10 @@
 """Real special functions used by the gap-equation closed forms.
 
 Only what the closed forms actually touch is implemented: the real
-dilogarithm Li2 on (-inf, 1], the Gamma ratio Gamma(s/2)/Gamma(1/2 + s/2),
-and the cosine-power integral over a quarter period (a Beta-function value
-in disguise; its quadrature companion is
+dilogarithm Li2 on (-inf, 1], the Gamma ratio Gamma(s/2)/Gamma(1/2 + s/2)
+(a recurrence and an asymptotic series, not a log-Gamma difference), and
+the cosine-power integral over a quarter period (a Beta-function value in
+disguise; its quadrature companion is
 ``hubbard_gap.oracles.cosine_power_quadrature``).  Everything is a pure
 function of its scalar arguments, written with ``math`` alone.
 """
@@ -67,29 +68,56 @@ def dilog_inversion_residual(x):
             + 0.5 * math.log(x) ** 2 + PI_SQUARED / 6.0)
 
 
-def gamma_ratio(s):
-    """Gamma(s/2) / Gamma(1/2 + s/2), via log-Gamma differences.
+#: -E_2k / (2k 2^(4k+1)) for k = 8, 7, ..., 1 (E_2k the Euler numbers), the
+#: coefficients of ln(Gamma(x+1)/Gamma(x+1/2)) - ln(w)/2 in powers of 1/w^2,
+#: w = x + 1/4; from the Bernoulli-polynomial expansion of a log-Gamma
+#: difference, B_2k+1(3/4) - B_2k+1(1/4) = -2 B_2k+1(1/4)
+_RATIO_SERIES = (-19391512145 / 137438953472, 199360981 / 7516192768,
+                 -2702765 / 402653184, 50521 / 20971520, -1385 / 1048576,
+                 61 / 49152, -5 / 2048, 1 / 64)
 
-    The log route avoids overflow for large s; both arguments are positive,
-    so no reflection is needed.  ConvergenceError where the ratio (about
-    2/(sqrt(pi) s), s < 6.3e-309) or lgamma(s/2) (s > 5.1e305) overflows.
+#: the series is summed at x >= 8, where its truncation error is below
+#: 3e-17 relative; smaller x is shifted up by the recurrence first
+_RATIO_SERIES_MIN_X = 8.0
+
+
+def gamma_ratio(s):
+    """Gamma(s/2) / Gamma(1/2 + s/2), accurate to about 1e-15 relative.
+
+    With x = s/2 the ratio is 2 q(x) / s, q(x) = Gamma(x+1)/Gamma(x+1/2).
+    Below x = 8, q is carried up by q(x) = q(x+1) (x+1/2)/(x+1); from
+    there the asymptotic series sqrt(w) exp(sum_k c_k / w^2k), w = x + 1/4,
+    gives it to double precision.  No log-Gamma difference is formed, so
+    nothing cancels at large s.  ConvergenceError where the ratio (about
+    2/(sqrt(pi) s)) overflows, for s < 6.3e-309.
     """
-    if not s > 0:
-        raise DomainError(f"gamma_ratio needs s > 0, got {s}")
-    try:
-        return math.exp(math.lgamma(0.5 * s) - math.lgamma(0.5 + 0.5 * s))
-    except (ValueError, OverflowError):  # ValueError: lgamma(0.0) at s = 5e-324
-        what = "lgamma(s/2)" if s > 1.0 else "Gamma ratio"
-        raise ConvergenceError(f"{what} leaves double range at s = {s}") from None
+    if not 0 < s < math.inf:
+        raise DomainError(f"gamma_ratio needs finite s > 0, got {s}")
+    x = 0.5 * s
+    factor = 1.0
+    n = 0
+    while x + n < _RATIO_SERIES_MIN_X:
+        factor *= (x + (n + 0.5)) / (x + (n + 1))
+        n += 1
+    w = x + (n + 0.25)
+    y = 1.0 / (w * w)
+    total = 0.0
+    for c in _RATIO_SERIES:
+        total = total * y + c
+    q = math.sqrt(w) * math.exp(total * y) * factor
+    ratio = (q + q) / s
+    if ratio == math.inf:
+        raise ConvergenceError(f"Gamma ratio leaves double range at s = {s}")
+    return ratio
 
 
 def cosine_power_integral(s):
     """Closed form of int_0^{pi/2} cos(k)^(s-1) dk = (sqrt(pi)/2) Gamma(s/2)/Gamma(1/2+s/2)."""
-    if not s > 0:
-        raise DomainError(f"cosine power integral needs s > 0, got {s}")
+    if not 0 < s < math.inf:
+        raise DomainError(f"cosine power integral needs finite s > 0, got {s}")
     try:
         return 0.5 * math.sqrt(math.pi) * gamma_ratio(s)
     except ConvergenceError:
-        if s > 1.0 or 1.0 / s == math.inf:
+        if 1.0 / s == math.inf:
             raise
         return 1.0 / s  # 1/s + ln 2 + O(s) rounds to 1/s where only the ratio overflows

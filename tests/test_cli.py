@@ -201,6 +201,20 @@ class TestConstants:
         assert code == 0
         assert json.loads(out)["seed"] == 5
 
+    def test_column_order(self, capsys):
+        # the row is built from ConstantsReport's field order
+        constants = ["a0_numeric", "a0_exact", "b1", "a1", "sech_integral",
+                     "gap_ratio_leading", "gap_ratio_slope", "seed"]
+        deviations = ["a0_numeric_vs_exact", "b1_magnitude", "a1_vs_reference",
+                      "a1_minus_b1_route_gap"]
+        _, out, _ = run_cli(["constants"], capsys)
+        assert out.splitlines()[0].split(",") == constants + [
+            f"deviation_{key}" for key in deviations]
+        _, out, _ = run_cli(["constants", "--format", "json"], capsys)
+        payload = json.loads(out)
+        assert list(payload) == constants + ["deviations"]
+        assert list(payload["deviations"]) == deviations
+
 
 class TestRegularize:
     def test_table_and_fits(self, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from hubbard_gap import (ConvergenceError, DomainError, GapParams,
                          dos_pushforward_oracle, gap_rhs, gap_rhs_sinh,
                          gap_solve, i1_closed, i1_quadrature, i1_small_delta,
                          i2_numeric)
-from hubbard_gap.dos import DEFAULT_CONFIG
+from hubbard_gap.dos import DEFAULT_CONFIG, _ellipkm1
 from hubbard_gap.renorm import a0_numeric, b1_constant
 
 CFG = DEFAULT_CONFIG
@@ -126,6 +127,53 @@ class TestGapRhs:
     def test_domain(self):
         with pytest.raises(DomainError):
             gap_rhs(0.0)
+
+
+def _elliptic_rhs(delta):
+    """The right side in closed form, 4 K(1-p)^2 / (pi^2 (Delta + h)), with
+    h = hypot(Delta, 4) and p = 2 Delta / (Delta + h)."""
+    h = math.hypot(delta, 4.0)
+    k = _ellipkm1(2.0 * delta / (delta + h))
+    return 4.0 / math.pi ** 2 * k ** 2 / (delta + h)
+
+
+def _mp_elliptic_rhs(delta):
+    with mpmath.workdps(40):
+        delta = mpmath.mpf(delta)
+        h = mpmath.sqrt(delta * delta + 16)
+        k = mpmath.ellipk(1 - 2 * delta / (delta + h))
+        return float(4 * k ** 2 / (mpmath.pi ** 2 * (delta + h)))
+
+
+def _log_grid(lo, hi, n=400):
+    return [10.0 ** (lo + i * (hi - lo) / (n - 1)) for i in range(n)]
+
+
+class TestEllipticClosedForm:
+    """``gap_rhs`` (a0 + I1 + I2) against the elliptic closed form of the
+    whole right side, which no production route evaluates."""
+
+    @pytest.mark.parametrize("lo, hi, bound", [(-8, 1, 1e-15), (1, 3, 4e-15)],
+                             ids=["1e-8..10", "10..1e3"])
+    def test_gap_rhs_is_the_closed_form(self, lo, hi, bound):
+        # worst measured 8.6e-16 and 2.1e-15
+        for delta in _log_grid(lo, hi):
+            assert gap_rhs(delta) == pytest.approx(
+                _elliptic_rhs(delta), rel=bound, abs=0), delta
+
+    @pytest.mark.parametrize("lo, hi", [(-8, 1), (1, 3)], ids=["1e-8..10", "10..1e3"])
+    def test_closed_form_against_mpmath(self, lo, hi):
+        # worst measured 6.5e-16
+        for delta in _log_grid(lo, hi):
+            assert _elliptic_rhs(delta) == pytest.approx(
+                _mp_elliptic_rhs(delta), rel=1e-15, abs=0), delta
+
+    @pytest.mark.xfail(strict=True, reason="a0 + I1 + I2 cancels at large gaps "
+                       "(7.3e-8 relative at 2.1e11); the large-gap series of the "
+                       "whole right side removes it")
+    def test_large_gap(self):
+        delta = 2.1e11
+        assert gap_rhs(delta) == pytest.approx(_mp_elliptic_rhs(delta), rel=4e-15, abs=0)
 
 
 class TestBracket:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -9,6 +10,16 @@ from hubbard_gap import (ConvergenceError, DomainError, QuadratureConfig,
                          dilog_inversion_residual, gamma_ratio)
 
 PI2 = math.pi ** 2
+
+
+def _mp_gamma_ratio(s, cosine=False):
+    """Gamma(s/2)/Gamma(1/2 + s/2) to 40 digits (more working digits at
+    large s, where mpmath's Gamma needs them); times sqrt(pi)/2, the
+    cosine-power integral, with ``cosine``."""
+    with mpmath.workdps(40 + max(0, int(math.log10(s)))):
+        x = mpmath.mpf(s) / 2
+        value = mpmath.gamma(x) / mpmath.gamma(x + mpmath.mpf(1) / 2)
+        return float(mpmath.sqrt(mpmath.pi) / 2 * value if cosine else value)
 
 
 class TestDilog:
@@ -94,7 +105,7 @@ class TestGammaRatio:
         two_term = 2.0 / (math.sqrt(math.pi) * s) + 2.0 * math.log(2.0) / math.sqrt(math.pi)
         assert gamma_ratio(s) == pytest.approx(two_term, abs=0.01)
 
-    @pytest.mark.parametrize("s", [0.0, -1.0])
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
     def test_domain(self, s):
         with pytest.raises(DomainError):
             gamma_ratio(s)
@@ -109,18 +120,28 @@ class TestGammaRatio:
 
     @pytest.mark.parametrize("s", [1e-300, 6.2769e-309])
     def test_finite_down_to_the_edge(self, s):
-        with mpmath.workdps(30):
-            reference = float(mpmath.gamma(mpmath.mpf(s) / 2)
-                              / mpmath.gamma(0.5 + mpmath.mpf(s) / 2))
-        assert gamma_ratio(s) == pytest.approx(reference, rel=1e-12)
-        assert gamma_ratio(s) == math.exp(math.lgamma(0.5 * s)
-                                          - math.lgamma(0.5 + 0.5 * s))
+        assert gamma_ratio(s) == pytest.approx(_mp_gamma_ratio(s), rel=1e-15, abs=0)
 
-    def test_log_gamma_overflow_is_named(self):
-        # lgamma(s/2) overflows from s of about 5.12e305
-        with pytest.raises(ConvergenceError,
-                           match=r"lgamma\(s/2\) leaves double range at s = 1e\+306"):
-            gamma_ratio(1e306)
+    def test_log_grid_against_mpmath(self):
+        # 1e-15 relative on 601 log-spaced s from 1e-300 to 1.7e308; the
+        # former log-Gamma difference lost 1e-13 at both ends and all
+        # digits from s of about 1e17, and raised from about 5.1e305
+        for i in range(601):
+            s = min(10.0 ** (-300 + i * 608.23 / 600), 1.7e308)
+            assert gamma_ratio(s) == pytest.approx(
+                _mp_gamma_ratio(s), rel=1e-15, abs=0), s
+
+    @pytest.mark.parametrize("s", [1e3, 1e4, 1e9, 1e15, 1e17, 5.2e305, 1e306,
+                                   sys.float_info.max])
+    def test_large_order(self, s):
+        # the former log-Gamma difference: 7.6e-14 off at 1e3, 8.1e-7 at
+        # 1e9, 1.5 at 1e15, exactly 1.0 at 1e17, ConvergenceError from 5.1e305
+        assert gamma_ratio(s) == pytest.approx(_mp_gamma_ratio(s), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("s", [15.99, 16.0, 16.01, 17.0, 18.0])
+    def test_across_the_series_switch(self, s):
+        # the series takes over from the recurrence at s/2 = 8
+        assert gamma_ratio(s) == pytest.approx(_mp_gamma_ratio(s), rel=1e-15, abs=0)
 
 
 class TestCosinePower:
@@ -156,9 +177,10 @@ class TestCosinePower:
                            match=f"leaves double range at s = {s}"):
             cosine_power_integral(s)
 
-    def test_log_gamma_overflow_passes_through(self):
-        with pytest.raises(ConvergenceError, match=r"lgamma\(s/2\) leaves"):
-            cosine_power_integral(1e306)
+    @pytest.mark.parametrize("s", [1e3, 1e306])
+    def test_large_order(self, s):
+        assert cosine_power_integral(s) == pytest.approx(
+            _mp_gamma_ratio(s, cosine=True), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("s", [0.0, -0.5])
     def test_domain(self, s):
@@ -166,3 +188,7 @@ class TestCosinePower:
             cosine_power_integral(s)
         with pytest.raises(DomainError):
             cosine_power_quadrature(s)
+
+    def test_infinite_order(self):
+        with pytest.raises(DomainError, match="needs finite s > 0, got inf"):
+            cosine_power_integral(math.inf)

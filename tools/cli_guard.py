@@ -46,6 +46,9 @@ INVOCATIONS = [
     ("constants", "--format", "json", "--seed", "5"),
     ("regularize", "--s-values", "0.4,0.2,0.1,0.05,0.025"),
     ("regularize", "--s-values", "0.05,0.4,0.1,0.2,0.1,0.025", "--format", "json"),
+    # large-s j1_exact cells, where gamma_ratio's route matters
+    ("regularize", "--s-values", "200,150,100,50"),
+    ("regularize", "--s-values", "200,150,100,50", "--format", "json"),
     ("ratio", "--u-values", "0.1,0.04,0.01"),
     ("ratio", "--u-values", "0.2,0.05", "--format", "json"),
     # the upper bracket end grows by 4 twice (solve) and 0, 1, 3 times (sweep)
@@ -71,6 +74,8 @@ INVOCATIONS = [
     # a moment or its Laurent fit leaves double range, the Neel scale underflows
     ("regularize", "--s-values", "514,513,512,511"),
     ("regularize", "--s-values", "512,511,510,509"),
+    ("regularize", "--s-values", "400,300,200,100"),
+    ("regularize", "--s-values", "400,300,200,100", "--format", "json"),
     ("regularize", "--s-values", "1e-3,1e-10,1e-100,1e-160"),
     ("ratio", "--u-values", "1e-300"),
     # the parser itself: help text of the program and of every command,
