@@ -12,7 +12,6 @@ from .gap import (AsymptoticComparison, GapParams, GapSolution,
 from .oracles import (cosine_power_quadrature, dos_pushforward_oracle,
                       dos_value_quadrature, gap_rhs_sinh, i1_quadrature,
                       i2_quadrature, j2_quadrature, sech_log2_integral_direct)
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .renorm import (BCS_RATIO, ConstantsReport, EULER_GAMMA, LaurentFit,
                      RegularizedLimit, a0_exact, a0_numeric, a1_constant,
                      a1_exact, a1_minus_b1, b1_constant, constants_report,

@@ -15,13 +15,14 @@ every numeric cell printed with 12 significant digits; JSON output keeps
 Python's shortest round-trip float form.  Identical arguments (including
 --seed) produce byte-identical files.
 
-Only ``constants`` and ``regularize`` integrate, so only they take the
-quadrature tolerances; every command takes ``--format`` and ``--output``.
-Both flag sets are added to each subparser ahead of its own flags.  No
-command loads numpy or scipy: all six run on ``math`` alone.  Nor does a
-command load ``dataclasses``: the library's records are plain frozen
-classes whose ``_asdict()`` gives the table rows.  ``json`` is imported
-only to write ``--format json``.
+Every command takes ``--format`` and ``--output``, added to each
+subparser ahead of its own flags.  No command takes a quadrature
+tolerance: ``constants`` and ``regularize``, the two that integrate, run
+under the fixed policy of ``hubbard_gap.quadrature``.  No command loads
+numpy or scipy: all six run on ``math`` alone.  Nor does a command load
+``dataclasses``: the library's records are plain frozen classes whose
+``_asdict()`` gives the table rows.  ``json`` is imported only to write
+``--format json``.
 
 The linear grid is ``_linspace``, numpy's ``linspace`` arithmetic written
 out, and ``ratio`` reads the exact ``a1``.  The geometric grid of
@@ -43,7 +44,6 @@ import sys
 from .dos import dos_asymptotic, dos_moment_exact, dos_value
 from .errors import ConvergenceError, DomainError
 from .gap import GapParams, asymptotic_comparison, delta_asymptotic, gap_solve
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .renorm import (BCS_RATIO, a1_exact, constants_report,
                      gap_ratio_expansion, j2_closed, ratio_from_asymptotics,
                      regularized_limit)
@@ -187,8 +187,8 @@ def cmd_dos(args):
     _emit({"rows": rows}, rows, args)
 
 
-def cmd_constants(args, cfg):
-    record = constants_report(cfg)._asdict()
+def cmd_constants(args):
+    record = constants_report()._asdict()
     deviations = record.pop("deviations")
     record["seed"] = args.seed
     payload = dict(record, deviations=deviations)
@@ -198,10 +198,10 @@ def cmd_constants(args, cfg):
     _emit(payload, [flat], args)
 
 
-def cmd_regularize(args, cfg):
+def cmd_regularize(args):
     s_values = sorted(set(_parse_positive_list(args.s_values, "s")),
                       reverse=True)
-    limit = regularized_limit(s_values, cfg)
+    limit = regularized_limit(s_values)
     rows = [{"s": s, "j1_numeric": j1, "j1_exact": dos_moment_exact(s),
              "j2_closed": j2_closed(s), "difference": difference}
             for s, j1, difference in zip(s_values, limit.j1_values,
@@ -224,15 +224,6 @@ def cmd_ratio(args):
              "leading": BCS_RATIO}
             for u in u_values]
     _emit({"rows": rows}, rows, args)
-
-
-def _add_tolerance_flags(p):
-    p.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
-                   help="relative quadrature tolerance (default %(default)g)")
-    p.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol,
-                   help="absolute quadrature tolerance (default %(default)g)")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_CONFIG.max_depth,
-                   help="adaptive subdivision limit (default %(default)s)")
 
 
 def _add_output_flags(p):
@@ -277,14 +268,12 @@ def build_parser():
 
     p = sub.add_parser("constants",
                        help="derived constants with deviation diagnostics")
-    _add_tolerance_flags(p)
     _add_output_flags(p)
     p.add_argument("--seed", type=int, default=1729,
                    help="seed echoed in the output (default %(default)s)")
     p.set_defaults(run=cmd_constants)
 
     p = sub.add_parser("regularize", help="moment pair table plus Laurent fits")
-    _add_tolerance_flags(p)
     _add_output_flags(p)
     p.add_argument("--s-values", required=True,
                    help="comma-separated positive s grid (at least 4 values)")
@@ -302,12 +291,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("constants", "regularize"):  # the two that integrate
-            args.run(args, QuadratureConfig(rel_tol=args.rel_tol,
-                                            abs_tol=args.abs_tol,
-                                            max_depth=args.max_depth))
-        else:
-            args.run(args)
+        args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

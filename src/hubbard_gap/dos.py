@@ -33,7 +33,7 @@ All functions are pure.
 import math
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import DEFAULT_CONFIG, adaptive_quad
+from .quadrature import adaptive_quad
 from .specfun import PI_SQUARED, TWO_PI_SQUARED, gamma_ratio
 
 BAND_EDGE = 4.0
@@ -157,7 +157,7 @@ def _moment_split_head(s, include_log_part):
 LOG_SPLIT, LOG_BAND_EDGE = math.log(DELTA_SPLIT), math.log(BAND_EDGE)
 
 
-def _split_moment(s, density, include_log_part, cfg, name):
+def _split_moment(s, density, include_log_part, name):
     """int_0^4 eps^(s-1) density(eps), s > 0: closed-form head on [0, DELTA_SPLIT]
     plus the quadrature of e^(s v) density(e^v) over v = ln eps, where the
     integrand is smooth; ConvergenceError naming ``name`` and ``s`` where
@@ -166,7 +166,7 @@ def _split_moment(s, density, include_log_part, cfg, name):
         raise DomainError(f"moment order must be positive, got {s}")
     try:
         tail = adaptive_quad(lambda v: math.exp(s * v) * density(math.exp(v)),
-                             LOG_SPLIT, LOG_BAND_EDGE, cfg, name)
+                             LOG_SPLIT, LOG_BAND_EDGE, name)
         value = _moment_split_head(s, include_log_part) + tail
     except ArithmeticError:  # exp(s v) overflows or s * s underflows to 0
         value = math.inf
@@ -175,14 +175,14 @@ def _split_moment(s, density, include_log_part, cfg, name):
     return value
 
 
-def dos_moment(s, cfg=DEFAULT_CONFIG):
+def dos_moment(s):
     """Numeric moment int_0^4 eps^(s-1) N0(eps) d(eps), s > 0.
 
     The integrand behaves like eps^(s-1) ln(16/eps) near zero; on
     [0, DELTA_SPLIT] the expansion is integrated in closed form, the rest
     by adaptive quadrature in ln eps against the elliptic closed form.
     """
-    return _split_moment(s, dos_value_elliptic, True, cfg, "DOS moment")
+    return _split_moment(s, dos_value_elliptic, True, "DOS moment")
 
 
 def dos_moment_exact(s):

@@ -4,7 +4,9 @@ Each function computes a quantity that a production module already
 computes on its one route, by a different parameterization or from the
 defining integral, so that agreement between the two is evidence for
 both.  Its docstring names the production counterpart.  No production
-module calls into this one; the test suite does.
+module calls into this one; the test suite does.  A route takes no
+tolerance: it integrates under the fixed policy of
+``hubbard_gap.quadrature``, as production does.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 from .dos import (BAND_EDGE, DELTA_SPLIT, dos_log_subtracted,
                   dos_value_elliptic)
 from .errors import ConvergenceError, DomainError
-from .quadrature import DEFAULT_CONFIG, adaptive_quad
+from .quadrature import adaptive_quad
 from .renorm import SECH_CUTOFF
 from .specfun import PI_SQUARED, TWO_PI_SQUARED
 
@@ -20,7 +22,7 @@ from .specfun import PI_SQUARED, TWO_PI_SQUARED
 _GRID_PANELS = 128
 
 
-def dos_value_quadrature(epsilon, cfg=DEFAULT_CONFIG):
+def dos_value_quadrature(epsilon):
     """Density of states at ``epsilon`` by quadrature of the level-set reduction.
 
     The companion of ``dos.dos_value``.  Resolving the delta
@@ -33,9 +35,9 @@ def dos_value_quadrature(epsilon, cfg=DEFAULT_CONFIG):
     using (1 + eps/4)^2 - (1 - eps/4)^2 = eps exactly, so nothing cancels
     as eps -> 0, where the integrand peaks at t = 0 with width sqrt(eps).
     Exactly zero outside the open band |eps| < 4; raises at the eps = 0
-    singularity.  Accuracy follows the tolerances in ``cfg``; below
-    eps ~ 1e-120 the peak is too narrow for the quadrature, which then
-    raises ConvergenceError.
+    singularity.  Accuracy follows the policy in ``hubbard_gap.quadrature``;
+    below eps ~ 1e-120 the peak is too narrow for the quadrature, which
+    then raises ConvergenceError.
     """
     e = abs(float(epsilon))
     if e == 0.0:
@@ -48,8 +50,7 @@ def dos_value_quadrature(epsilon, cfg=DEFAULT_CONFIG):
     def integrand(t):
         return 1.0 / math.hypot(a * math.sin(t), root_e * math.cos(t))
 
-    val = adaptive_quad(integrand, 0.0, 0.5 * math.pi, cfg,
-                        "level-set DOS reduction")
+    val = adaptive_quad(integrand, 0.0, 0.5 * math.pi, "level-set DOS reduction")
     return val / PI_SQUARED
 
 
@@ -70,7 +71,7 @@ def _trapezoid_guard(g, quad_val):
     return fine, 4.0 * abs(fine - coarse) + 1e-9 * (1.0 + abs(quad_val))
 
 
-def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG):
+def dos_pushforward_oracle(g):
     """Ground-truth functional int g(eps) N0(eps) d(eps).
 
     Evaluates the defining Brillouin-zone double integral
@@ -85,9 +86,9 @@ def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG):
     def inner(k1):
         c1 = math.cos(k1)
         return adaptive_quad(lambda k2: g(-2.0 * (c1 + math.cos(k2))),
-                             0.0, math.pi, cfg, "pushforward oracle (inner)")
+                             0.0, math.pi, "pushforward oracle (inner)")
 
-    quad_val = adaptive_quad(inner, 0.0, math.pi, cfg,
+    quad_val = adaptive_quad(inner, 0.0, math.pi,
                              "pushforward oracle (outer)") / PI_SQUARED
     trapezoid, bound = _trapezoid_guard(g, quad_val)
     if abs(quad_val - trapezoid) > bound:
@@ -97,7 +98,7 @@ def dos_pushforward_oracle(g, cfg=DEFAULT_CONFIG):
     return quad_val
 
 
-def i1_quadrature(delta, cfg=DEFAULT_CONFIG):
+def i1_quadrature(delta):
     """Quadrature companion of ``gap.i1_closed``, free of the dilogarithm.
 
     Substituting eps = Delta sinh(v) gives
@@ -114,12 +115,12 @@ def i1_quadrature(delta, cfg=DEFAULT_CONFIG):
             return v * v / 6.0
         return math.log(math.sinh(v) / v)
 
-    smooth_part = adaptive_quad(smooth, 0.0, v_max, cfg, "log-kernel integral")
+    smooth_part = adaptive_quad(smooth, 0.0, v_max, "log-kernel integral")
     log_sinh_integral = v_max * math.log(v_max) - v_max + smooth_part
     return (math.log(16.0 / delta) * v_max - log_sinh_integral) / TWO_PI_SQUARED
 
 
-def i2_quadrature(delta, cfg=DEFAULT_CONFIG):
+def i2_quadrature(delta):
     """Quadrature companion of ``gap.i2_numeric``, free of its frozen tables.
 
     Integrand (N0 - ln(16/eps)/(2 pi^2)) (1/sqrt(Delta^2+eps^2) - 1/eps);
@@ -138,10 +139,10 @@ def i2_quadrature(delta, cfg=DEFAULT_CONFIG):
         kernel = -delta * delta / (e * rt * (e + rt))
         return dos_log_subtracted(e) * kernel
 
-    return adaptive_quad(integrand, 0.0, 4.0, cfg, "subtracted gap remainder")
+    return adaptive_quad(integrand, 0.0, 4.0, "subtracted gap remainder")
 
 
-def gap_rhs_sinh(delta, cfg=DEFAULT_CONFIG):
+def gap_rhs_sinh(delta):
     """Right side of the gap equation from the unsplit integral.
 
     Substituting eps = Delta sinh(v) turns the kernel into dv, leaving
@@ -153,10 +154,10 @@ def gap_rhs_sinh(delta, cfg=DEFAULT_CONFIG):
         raise DomainError("gap must be positive")
     v_max = math.asinh(4.0 / delta)
     return adaptive_quad(lambda v: dos_value_elliptic(delta * math.sinh(v)),
-                         0.0, v_max, cfg, "gap equation (sinh path)")
+                         0.0, v_max, "gap equation (sinh path)")
 
 
-def j2_quadrature(s, cfg=DEFAULT_CONFIG):
+def j2_quadrature(s):
     """Direct-quadrature companion of ``renorm.j2_closed``."""
     if not s > 0:
         raise DomainError(f"moment order must be positive, got {s}")
@@ -164,11 +165,11 @@ def j2_quadrature(s, cfg=DEFAULT_CONFIG):
     head = d ** s * (math.log(16.0 / d) / s + 1.0 / (s * s)) / TWO_PI_SQUARED
     tail = adaptive_quad(
         lambda e: e ** (s - 1.0) * math.log(16.0 / e) / TWO_PI_SQUARED,
-        d, BAND_EDGE, cfg, "log moment")
+        d, BAND_EDGE, "log moment")
     return head + tail
 
 
-def sech_log2_integral_direct(cfg=DEFAULT_CONFIG):
+def sech_log2_integral_direct():
     """int_0^inf (ln x)^2 / cosh^2(x) dx with the singular endpoint left in.
 
     Unlike ``renorm.sech_log2_integral`` no substitution removes the
@@ -177,14 +178,13 @@ def sech_log2_integral_direct(cfg=DEFAULT_CONFIG):
     1e-15 and dropped.
     """
     f = lambda x: math.log(x) ** 2 / math.cosh(x) ** 2
-    head = adaptive_quad(f, 0.0, 2.0, cfg,
-                         "sech^2 log^2 integral (direct head)")
-    tail = adaptive_quad(f, 2.0, SECH_CUTOFF + 5.0, cfg,
+    head = adaptive_quad(f, 0.0, 2.0, "sech^2 log^2 integral (direct head)")
+    tail = adaptive_quad(f, 2.0, SECH_CUTOFF + 5.0,
                          "sech^2 log^2 integral (direct tail)")
     return head + tail
 
 
-def cosine_power_quadrature(s, cfg=DEFAULT_CONFIG):
+def cosine_power_quadrature(s):
     """Direct quadrature companion of ``specfun.cosine_power_integral``.
 
     Integrates sin(u)^(s-1) over [0, pi/2] (the same integral mirrored
@@ -192,8 +192,8 @@ def cosine_power_quadrature(s, cfg=DEFAULT_CONFIG):
     singularity for s < 1: the transformed integrand (sin(u)/u)^(s-1) / s
     is smooth on the whole interval.
     """
-    if not s > 0:
-        raise DomainError(f"cosine power integral needs s > 0, got {s}")
+    if not 0 < s < math.inf:
+        raise DomainError(f"cosine power integral needs finite s > 0, got {s}")
 
     def integrand(w):
         u = w ** (1.0 / s)
@@ -201,5 +201,5 @@ def cosine_power_quadrature(s, cfg=DEFAULT_CONFIG):
             return 1.0 / s
         return (math.sin(u) / u) ** (s - 1.0) / s
 
-    return adaptive_quad(integrand, 0.0, (0.5 * math.pi) ** s, cfg,
+    return adaptive_quad(integrand, 0.0, (0.5 * math.pi) ** s,
                          "cosine power quadrature")

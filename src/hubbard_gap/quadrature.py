@@ -1,5 +1,5 @@
-"""The quadrature policy: the tolerance config every numeric integral runs
-under, and ``adaptive_quad``, the one engine that applies it.
+"""The quadrature policy: the three tolerances every numeric integral runs
+under, and ``adaptive_quad``, the one engine that applies them.
 
 ``adaptive_quad`` is QUADPACK's global adaptive QAG with the 21-point
 Gauss-Kronrod rule ``dqk21`` (R. Piessens, E. de Doncker-Kapenga,
@@ -9,39 +9,23 @@ estimate, the same bisection order and the same stopping test, so on an
 integrand that converges it makes the calls ``scipy.integrate.quad``
 makes.  Production integrals and the reference routes of
 ``hubbard_gap.oracles`` share it; scipy's QUADPACK is a test-only
-reference.
+reference.  The policy is fixed, not a parameter: no function and no
+command takes a tolerance.
 """
 
 import heapq
 import math
 import sys
 
-from .errors import ConvergenceError, DomainError
-from .record import FrozenRecord
+from .errors import ConvergenceError
 
-#: QUADPACK takes the subdivision limit as a C int; ``adaptive_quad`` keeps
-#: that ceiling and holds one heap entry per subinterval, so a depth near
-#: it may exhaust memory before an integral that cannot converge stops
-_MAX_DEPTH_CEILING = 2 ** 31 - 1
-
-
-class QuadratureConfig(FrozenRecord):
-    """Tolerances and subdivision limit governing every integral in the package."""
-
-    __slots__ = ("rel_tol", "abs_tol", "max_depth")
-
-    _defaults = {"rel_tol": 1e-10, "abs_tol": 1e-13, "max_depth": 200}
-
-    def _check(self):
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise DomainError("quadrature tolerances must be positive and finite")
-        if not (isinstance(self.max_depth, int)
-                and 1 <= self.max_depth <= _MAX_DEPTH_CEILING):
-            raise DomainError(
-                f"max_depth must be an integer in [1, {_MAX_DEPTH_CEILING}]")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+#: The one policy, read at call time.  A relative 1e-10 meets the tightest
+#: check the acceptance criteria put on an integral (1e-10 absolute on I1
+#: and the unit moment), four decades above dqk21's roundoff floor; the
+#: absolute 1e-13 ends the bisection of integrals that vanish with their
+#: parameter (I2 as the gap -> 0); 200 subintervals bound the work of one
+#: that cannot converge, where the package's integrands need a few dozen.
+REL_TOL, ABS_TOL, MAX_DEPTH = 1e-10, 1e-13, 200
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -99,7 +83,7 @@ def _kronrod21(f, a, b):
     return res_k * half, err, res_abs, res_asc
 
 
-def _bisect(f, a, b, area, err, cfg):
+def _bisect(f, a, b, area, err):
     """QAG's subdivision loop from the single panel ``(area, err)`` on
     [a, b]; returns the sum of the subinterval areas and of their errors."""
     areas = [area]  # QUADPACK's rlist, summed in this order at the end
@@ -131,34 +115,33 @@ def _bisect(f, a, b, area, err, cfg):
         heapq.heappush(heap, (-kept[1], -age - 1, slot, *kept[2:]))
         heapq.heappush(heap, (-added[1], -age, len(areas), *added[2:]))
         areas.append(added[0])
-        if (err_sum <= max(cfg.abs_tol, cfg.rel_tol * abs(total))
-                or len(areas) >= cfg.max_depth or stalled >= 6 or grown >= 20
+        if (err_sum <= max(ABS_TOL, REL_TOL * abs(total))
+                or len(areas) >= MAX_DEPTH or stalled >= 6 or grown >= 20
                 or not math.isfinite(err_sum)
                 or max(abs(lo), abs(hi))
                 <= (1.0 + 100.0 * _EPMACH) * (abs(mid) + 1000.0 * _UFLOW)):
             return sum(areas), err_sum
 
 
-def adaptive_quad(f, a, b, cfg, name):
-    """Adaptive Gauss-Kronrod integral of ``f`` over ``[a, b]`` under ``cfg``.
+def adaptive_quad(f, a, b, name):
+    """Adaptive Gauss-Kronrod integral of ``f`` over ``[a, b]``.
 
     Bisects the subinterval with the largest error estimate until the
-    summed estimate is at most ``max(cfg.abs_tol, cfg.rel_tol |I|)``, or
-    until ``cfg.max_depth`` subintervals exist, QUADPACK's roundoff test
-    fires or a subinterval shrinks to a point.  Raises ConvergenceError,
-    naming the integral, when the result is not finite or it stopped
-    short with an error estimate far above the requested tolerance.
+    summed estimate is at most ``max(ABS_TOL, REL_TOL |I|)``, or until
+    ``MAX_DEPTH`` subintervals exist, QUADPACK's roundoff test fires or a
+    subinterval shrinks to a point.  Raises ConvergenceError, naming the
+    integral, when the result is not finite or it stopped short with an
+    error estimate far above the tolerance.
     """
     value, err, res_abs, res_asc = _kronrod21(f, a, b)
-    bound = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    bound = max(ABS_TOL, REL_TOL * abs(value))
     # QUADPACK keeps one panel when its estimate meets the tolerance, unless
     # the estimate is resasc itself (no sign of convergence), or when it
     # sits at the roundoff floor, where bisecting cannot lower it
-    if not (cfg.max_depth == 1 or err == 0.0 or err <= bound and err != res_asc
+    if not (MAX_DEPTH == 1 or err == 0.0 or err <= bound and err != res_asc
             or bound < err <= 50.0 * _EPMACH * res_abs):
-        value, err = _bisect(f, a, b, value, err, cfg)
-    if not math.isfinite(value) or err > 1e3 * max(cfg.abs_tol,
-                                                   cfg.rel_tol * abs(value)):
+        value, err = _bisect(f, a, b, value, err)
+    if not math.isfinite(value) or err > 1e3 * max(ABS_TOL, REL_TOL * abs(value)):
         raise ConvergenceError(
             f"{name}: quadrature did not converge "
             f"(value {value:.6e}, error estimate {err:.2e})")

@@ -33,7 +33,7 @@ import operator
 from .dos import (LOG_BAND_EDGE, LOG_SPLIT, _moment_split_head,
                   _split_moment, dos_log_subtracted, dos_moment)
 from .errors import ConvergenceError, DomainError, FitDegeneracyError
-from .quadrature import DEFAULT_CONFIG, adaptive_quad
+from .quadrature import adaptive_quad
 from .record import FrozenRecord, set_field
 from .specfun import PI_SQUARED, TWO_PI_SQUARED
 
@@ -59,7 +59,7 @@ def a0_exact():
     return math.log(2.0) ** 2 / PI_SQUARED - 1.0 / 24.0
 
 
-def a0_numeric(cfg=DEFAULT_CONFIG):
+def a0_numeric():
     """The subtracted-DOS integral defining a0, evaluated numerically.
 
     The integrand is eps (ln(16/eps) - 1)/(128 pi^2) + O(eps^3 ln) near
@@ -68,7 +68,7 @@ def a0_numeric(cfg=DEFAULT_CONFIG):
     adaptive quadrature of dos_log_subtracted(e^v) over v = ln eps.
     """
     tail = adaptive_quad(lambda v: dos_log_subtracted(math.exp(v)),
-                         LOG_SPLIT, LOG_BAND_EDGE, cfg, "subtracted DOS integral")
+                         LOG_SPLIT, LOG_BAND_EDGE, "subtracted DOS integral")
     return _moment_split_head(0.0, include_log_part=False) + tail
 
 
@@ -100,14 +100,14 @@ def j2_closed(s):
     return value
 
 
-def mellin_difference(s, cfg=DEFAULT_CONFIG):
+def mellin_difference(s):
     """J1(s) - J2(s) through the subtracted integrand.
 
     Computing the difference as a single integral of
     eps^(s-1) (N0 - ln(16/eps)/(2 pi^2)) sidesteps the catastrophic
     cancellation of the two 1/(2 pi^2 s^2) poles at small s.
     """
-    return _split_moment(s, dos_log_subtracted, False, cfg, "subtracted moment")
+    return _split_moment(s, dos_log_subtracted, False, "subtracted moment")
 
 
 class LaurentFit(FrozenRecord):
@@ -195,8 +195,9 @@ def fit_laurent(s_grid, values):
     Solved in the s^2-rescaled space (fit s^2 v against {1, s, s^2, s^3}),
     which keeps the design matrix well conditioned on small grids, through
     the SVD of ``_jacobi_svd``.  The reported residual is the rms misfit in
-    that rescaled space.  A rescaled value, coefficient or squared misfit
-    that leaves double range raises ConvergenceError.
+    that rescaled space, taken through ``math.hypot``, which scales the
+    misfits before it squares them.  A rescaled value, coefficient or
+    residual that leaves double range raises ConvergenceError.
     """
     s = _validated_grid(s_grid)
     v = [float(x) for x in values]
@@ -221,7 +222,7 @@ def fit_laurent(s_grid, values):
         weight = _dot(u_j, target) / sigma_j
         coef = [c + weight * x for c, x in zip(coef, v_j)]
     misfit = [y - _dot(row, coef) for y, row in zip(target, zip(*design))]
-    fit_residual = math.sqrt(_dot(misfit, misfit) / len(s))
+    fit_residual = math.hypot(*misfit) / math.sqrt(len(s))
     if not all(map(math.isfinite, (*coef, fit_residual))):
         raise overflow("the fit")
     return LaurentFit(c_m2=coef[0], c_m1=coef[1], c_0=coef[2],
@@ -242,7 +243,7 @@ def richardson_extrapolate(s_grid, values):
     return p[0]
 
 
-def regularized_limit(s_grid, cfg=DEFAULT_CONFIG):
+def regularized_limit(s_grid):
     """Laurent structure of J1 and of the pole-free difference J1 - J2.
 
     Fits both against {s^-2, s^-1, 1, s} on the supplied descending grid.
@@ -252,8 +253,8 @@ def regularized_limit(s_grid, cfg=DEFAULT_CONFIG):
     pins down more sharply than the fit.
     """
     s = _validated_grid(s_grid)
-    j1_vals = tuple(dos_moment(v, cfg) for v in s)
-    diff_vals = tuple(mellin_difference(v, cfg) for v in s)
+    j1_vals = tuple(dos_moment(v) for v in s)
+    diff_vals = tuple(mellin_difference(v) for v in s)
     return RegularizedLimit(
         j1_fit=fit_laurent(s, j1_vals),
         difference_fit=fit_laurent(s, diff_vals),
@@ -263,7 +264,7 @@ def regularized_limit(s_grid, cfg=DEFAULT_CONFIG):
     )
 
 
-def sech_log2_integral(cfg=DEFAULT_CONFIG):
+def sech_log2_integral():
     """int_0^inf (ln x)^2 / cosh^2(x) dx = 1.98934975753569...
 
     Maps (0, 1] through x = e^(-v), turning the integrable (ln x)^2
@@ -274,10 +275,10 @@ def sech_log2_integral(cfg=DEFAULT_CONFIG):
     """
     head = adaptive_quad(
         lambda v: v * v * math.exp(-v) / math.cosh(math.exp(-v)) ** 2,
-        0.0, 50.0, cfg, "sech^2 log^2 integral (substituted head)")
+        0.0, 50.0, "sech^2 log^2 integral (substituted head)")
     tail = adaptive_quad(
         lambda x: math.log(x) ** 2 / math.cosh(x) ** 2,
-        1.0, SECH_CUTOFF, cfg, "sech^2 log^2 integral (tail)")
+        1.0, SECH_CUTOFF, "sech^2 log^2 integral (tail)")
     return head + tail
 
 
@@ -392,12 +393,12 @@ class ConstantsReport(FrozenRecord):
             set_field(self, "deviations", {})
 
 
-def constants_report(cfg=DEFAULT_CONFIG):
+def constants_report():
     """Evaluate all constants once and collect deviation diagnostics."""
-    a0n = a0_numeric(cfg)
+    a0n = a0_numeric()
     a0e = a0_exact()
     b1 = b1_constant(a0n)
-    sech = sech_log2_integral(cfg)
+    sech = sech_log2_integral()
     a1 = a1_constant(a0n, sech)
     route_direct = a1 - b1
     route_cancelled = a1_minus_b1(sech)

@@ -25,10 +25,8 @@ from hubbard_gap import (GapParams, a0_exact, a0_numeric, a1_constant,
                          gap_rhs_sinh,
                          gap_solve, i1_closed, i1_quadrature, i1_small_delta,
                          i2_numeric, regularized_limit, sech_log2_integral)
-from hubbard_gap.dos import DEFAULT_CONFIG
 from hubbard_gap.renorm import EULER_GAMMA
 
-CFG = DEFAULT_CONFIG
 PI2 = math.pi ** 2
 
 
@@ -45,7 +43,7 @@ def reported(number, name):
 def test_criterion_01_a0_reproduction():
     with reported(1, "a0 closed form"):
         start = time.perf_counter()
-        a0 = a0_numeric(CFG)
+        a0 = a0_numeric()
         elapsed = time.perf_counter() - start
         assert abs(a0 - (math.log(2.0) ** 2 / PI2 - 1.0 / 24.0)) < 1e-8
         assert elapsed < 10.0
@@ -53,16 +51,16 @@ def test_criterion_01_a0_reproduction():
 
 def test_criterion_02_b1_nullity():
     with reported(2, "b1 vanishes"):
-        assert abs(b1_constant(a0_numeric(CFG))) < 4e-7
+        assert abs(b1_constant(a0_numeric())) < 4e-7
 
 
 def test_criterion_03_moment_identity():
     with reported(3, "moment closed form"):
         start = time.perf_counter()
-        deviations = [abs(dos_moment(s, CFG) / dos_moment_exact(s) - 1.0)
+        deviations = [abs(dos_moment(s) / dos_moment_exact(s) - 1.0)
                       for s in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)]
         assert max(deviations) < 1e-8
-        assert abs(dos_moment(1.0, CFG) - 0.5) < 1e-10
+        assert abs(dos_moment(1.0) - 0.5) < 1e-10
         assert time.perf_counter() - start < 30.0
 
 
@@ -89,7 +87,7 @@ def test_criterion_04_weak_coupling_asymptotics():
 def test_criterion_05_i1_closed_form():
     with reported(5, "log-kernel integral closed form"):
         for delta in (1e-3, 1e-2, 0.1, 1.0, 4.0):
-            assert abs(i1_closed(delta) - i1_quadrature(delta, CFG)) < 1e-10
+            assert abs(i1_closed(delta) - i1_quadrature(delta)) < 1e-10
         grid = np.geomspace(1e-4, 0.1, 7)
         remainders = [abs(i1_closed(float(d)) - i1_small_delta(float(d)))
                       for d in grid]
@@ -107,17 +105,17 @@ def test_criterion_06_i2_bound():
 
 def test_criterion_07_decomposition():
     with reported(7, "three-piece decomposition"):
-        a0 = a0_numeric(CFG)
+        a0 = a0_numeric()
         for delta in (0.01, 0.1, 1.0):
             assembled = a0 + i1_closed(delta) + i2_numeric(delta)
-            direct = gap_rhs_sinh(delta, CFG)
+            direct = gap_rhs_sinh(delta)
             assert abs(assembled - direct) < 1e-8
 
 
 def test_criterion_08_dos_expansion_and_oracle():
     with reported(8, "DOS expansion and pushforward oracle"):
         for eps in np.geomspace(1e-3, 0.1, 9):
-            diff = abs(dos_value_quadrature(float(eps), CFG)
+            diff = abs(dos_value_quadrature(float(eps))
                        - dos_asymptotic(float(eps)))
             assert diff / (eps ** 4 * math.log(1.0 / eps)) < 5e-3
         test_functions = [
@@ -128,27 +126,27 @@ def test_criterion_08_dos_expansion_and_oracle():
             np.cos,
         ]
         for g in test_functions:
-            oracle = dos_pushforward_oracle(g, CFG)
+            oracle = dos_pushforward_oracle(g)
             lhs, _ = quad(lambda e: float(np.asarray(g(e) + g(-e)))
-                          * dos_value_quadrature(e, CFG),
+                          * dos_value_quadrature(e),
                           0.0, 4.0, epsabs=1e-10, epsrel=1e-8, limit=200)
             assert lhs == pytest.approx(oracle, rel=1e-6)
 
 
 def test_criterion_09_regularized_limit():
     with reported(9, "moment regularization limit"):
-        result = regularized_limit([0.1, 0.05, 0.025, 0.0125, 0.00625], CFG)
+        result = regularized_limit([0.1, 0.05, 0.025, 0.0125, 0.00625])
         assert abs(result.j1_fit.c_m2 - 1.0 / (2.0 * PI2)) < 1e-4
         assert abs(result.j1_fit.c_m1 - 2.0 * math.log(2.0) / PI2) < 1e-4
         assert abs(result.difference_extrapolated - a0_exact()) < 1e-5
-        coarse = regularized_limit([0.4, 0.2, 0.1, 0.05, 0.025], CFG)
+        coarse = regularized_limit([0.4, 0.2, 0.1, 0.05, 0.025])
         assert abs(coarse.difference_extrapolated - a0_exact()) < 1e-5
 
 
 def test_criterion_10_neel_constants():
     with reported(10, "transition-scale constants"):
-        sech = sech_log2_integral(CFG)
-        a0 = a0_numeric(CFG)
+        sech = sech_log2_integral()
+        a0 = a0_numeric()
         a1 = a1_constant(a0, sech)
         assert abs(a1 - 0.3260) < 5e-4
         assert abs((a1 - b1_constant(a0)) - a1_minus_b1(sech)) < 1e-10

@@ -1,14 +1,12 @@
 """Contract fuzz of the command line: in-process ``cli.main`` over all six
-commands with finite, extreme and non-finite couplings, grids, s-lists and
-tolerances.
+commands with finite, extreme and non-finite couplings, grids and s-lists.
 
 Whatever the input, a command exits 0, 2 or 3, raises no warning (they
 are errors here) and lets no traceback escape: a failure is one
 ``error: `` line (or argparse's usage message) on stderr and nothing on
 stdout.  Exit 0 prints finite cells only, except the ``nan`` the README
 documents for ``dos``: the expansion columns at ``epsilon >= 4`` and
-``scaled_remainder`` where its scale is not positive.  ``max_depth``
-stays at most 1e4, so that no example integrates for long.  Exit 3 is
+``scaled_remainder`` where its scale is not positive.  Exit 3 is
 allowed everywhere, ``solve`` and ``sweep`` included: the gap solver
 still fails at weak coupling.
 """
@@ -40,11 +38,6 @@ value_lists = st.lists(st.one_of(positive, positive, reals),
                        min_size=1, max_size=6).map(
     lambda values: ",".join(map(repr, values)))
 points = st.integers(min_value=-1, max_value=6).map(str)
-tolerance_flags = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["--rel-tol", "--abs-tol"]), numbers),
-    st.tuples(st.just("--max-depth"),
-              st.integers(min_value=-1, max_value=10_000).map(str)),
-), max_size=3).map(lambda pairs: [token for pair in pairs for token in pair])
 output_flags = st.sampled_from([[], ["--format", "csv"], ["--format", "json"]])
 
 
@@ -66,9 +59,8 @@ invocations = st.one_of(
             st.sampled_from([[], ["--log-spacing"]]), output_flags),
     command("dos", flag("--points", points), flag("--eps-min", numbers),
             flag("--eps-max", numbers), output_flags),
-    command("constants", tolerance_flags, output_flags),
-    command("regularize", flag("--s-values", value_lists), tolerance_flags,
-            output_flags),
+    command("constants", output_flags),
+    command("regularize", flag("--s-values", value_lists), output_flags),
     command("ratio", flag("--u-values", value_lists), output_flags),
 )
 
@@ -124,6 +116,8 @@ def cells(text, fmt):
 @example(["ratio", "--u-values", "1e-300", "--format", "json"])
 @example(["regularize", "--s-values", "1000,900,800,700"])
 @example(["regularize", "--s-values", "512,511,510,509"])
+# the squared Laurent-fit residual overflowed although every cell is finite
+@example(["regularize", "--s-values", "400,300,200,100", "--format", "json"])
 @example(["dos", "--points", "3", "--eps-min", "1e-300", "--eps-max", "1"])
 # ln(16/eps) overflowed below 16/DBL_MAX and gave nan inside the band
 @example(["dos", "--points", "3", "--eps-min", "5e-324", "--eps-max", "1e-323"])

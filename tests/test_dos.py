@@ -7,15 +7,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipkm1
 
-from hubbard_gap import (ConvergenceError, DomainError, QuadratureConfig,
-                         dos_asymptotic, dos_moment, dos_moment_exact,
-                         dos_pushforward_oracle, dos_value_elliptic,
-                         dos_value_quadrature)
+from hubbard_gap import (ConvergenceError, DomainError, dos_asymptotic,
+                         dos_moment, dos_moment_exact, dos_pushforward_oracle,
+                         dos_value_elliptic, dos_value_quadrature)
 from hubbard_gap import oracles
-from hubbard_gap.dos import (DEFAULT_CONFIG, DELTA_SPLIT, _ellipkm1,
-                             dos_log_subtracted)
+from hubbard_gap.dos import DELTA_SPLIT, _ellipkm1, dos_log_subtracted
 
-CFG = DEFAULT_CONFIG
 TWO_PI_SQ = 2.0 * math.pi ** 2
 
 # empirical bound on |N0 - two-term expansion| / (eps^4 ln(1/eps)); the
@@ -24,58 +21,34 @@ TWO_PI_SQ = 2.0 * math.pi ** 2
 REMAINDER_BOUND = 5e-3
 
 
-class TestQuadratureConfig:
-    def test_defaults_valid(self):
-        cfg = QuadratureConfig()
-        assert (cfg.rel_tol, cfg.abs_tol, cfg.max_depth) == (1e-10, 1e-13, 200)
-        assert list(cfg._fields) == ["rel_tol", "abs_tol", "max_depth"]
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0},
-        {"abs_tol": -1e-3},
-        {"max_depth": 0},
-        {"rel_tol": math.inf},
-        {"abs_tol": math.inf},
-        {"max_depth": 2 ** 31},
-        {"max_depth": 200.0},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**kwargs)
-
-    def test_largest_depth_accepted(self):
-        # built only: adaptive_quad may hold up to max_depth subintervals
-        assert QuadratureConfig(max_depth=2 ** 31 - 1).max_depth == 2 ** 31 - 1
-
-
 class TestDosValue:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 3.5])
     def test_even(self, eps):
-        assert (dos_value_quadrature(-eps, CFG)
-                == dos_value_quadrature(eps, CFG))
+        assert (dos_value_quadrature(-eps)
+                == dos_value_quadrature(eps))
 
     @pytest.mark.parametrize("eps", [4.0, 5.0, -4.5, 100.0])
     def test_outside_band(self, eps):
-        assert dos_value_quadrature(eps, CFG) == 0.0
+        assert dos_value_quadrature(eps) == 0.0
         assert dos_value_elliptic(eps) == 0.0
 
     def test_singularity_raises(self):
         with pytest.raises(DomainError):
-            dos_value_quadrature(0.0, CFG)
+            dos_value_quadrature(0.0)
         with pytest.raises(DomainError):
             dos_value_elliptic(0.0)
 
     @pytest.mark.parametrize("eps", [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0,
                                      3.9, 3.999])
     def test_quadrature_matches_elliptic(self, eps):
-        assert dos_value_quadrature(eps, CFG) == pytest.approx(
+        assert dos_value_quadrature(eps) == pytest.approx(
             dos_value_elliptic(eps), rel=1e-11)
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-40])
     def test_small_eps_matches_elliptic(self, eps):
         # the difference form a^2 - b^2 sin^2 t cancels here: 2.3e-10 off at
         # 1e-8, no convergence at 1e-12
-        assert dos_value_quadrature(eps, CFG) == pytest.approx(
+        assert dos_value_quadrature(eps) == pytest.approx(
             dos_value_elliptic(eps), rel=1e-12)
 
     def test_band_edge_value(self):
@@ -84,12 +57,12 @@ class TestDosValue:
             1.0 / (4.0 * math.pi), rel=1e-6)
 
     def test_value_near_expansion(self):
-        diff = abs(dos_value_quadrature(0.1, CFG) - dos_asymptotic(0.1))
+        diff = abs(dos_value_quadrature(0.1) - dos_asymptotic(0.1))
         assert diff < REMAINDER_BOUND * 0.1 ** 4 * math.log(10.0)
 
     def test_remainder_scaling(self):
         for eps in np.geomspace(1e-3, 0.1, 9):
-            diff = abs(dos_value_quadrature(float(eps), CFG)
+            diff = abs(dos_value_quadrature(float(eps))
                        - dos_asymptotic(float(eps)))
             assert diff / (eps ** 4 * math.log(1.0 / eps)) < REMAINDER_BOUND
 
@@ -98,7 +71,7 @@ class TestDosValue:
             assert dos_value_elliptic(eps) > 0.0
 
     def test_monotone_divergence(self):
-        values = [dos_value_quadrature(e, CFG) for e in (1.0, 0.1, 0.01)]
+        values = [dos_value_quadrature(e) for e in (1.0, 0.1, 0.01)]
         assert values[0] < values[1] < values[2]
 
     def test_normalisation(self):
@@ -159,7 +132,7 @@ class TestDosAsymptotic:
 
 class TestLogSubtracted:
     def test_matches_direct_subtraction(self):
-        direct = dos_value_quadrature(0.5, CFG) - math.log(32.0) / TWO_PI_SQ
+        direct = dos_value_quadrature(0.5) - math.log(32.0) / TWO_PI_SQ
         assert dos_log_subtracted(0.5) == pytest.approx(direct, abs=1e-11)
 
     def test_continuous_at_split(self):
@@ -173,26 +146,26 @@ class TestLogSubtracted:
 
 class TestPushforwardOracle:
     def test_normalised(self):
-        assert dos_pushforward_oracle(lambda e: 1.0, CFG) == pytest.approx(
+        assert dos_pushforward_oracle(lambda e: 1.0) == pytest.approx(
             1.0, abs=1e-9)
 
     def test_odd_moment_vanishes(self):
-        assert dos_pushforward_oracle(lambda e: e, CFG) == pytest.approx(
+        assert dos_pushforward_oracle(lambda e: e) == pytest.approx(
             0.0, abs=1e-9)
 
     def test_positive_first_moment(self):
-        value = dos_pushforward_oracle(lambda e: np.where(e > 0.0, e, 0.0), CFG)
+        value = dos_pushforward_oracle(lambda e: np.where(e > 0.0, e, 0.0))
         assert value == pytest.approx(8.0 / math.pi ** 2, rel=1e-8)
         assert value == pytest.approx(dos_moment_exact(2.0), rel=1e-8)
 
     def test_deterministic(self):
         g = lambda e: np.cos(e)
-        assert dos_pushforward_oracle(g, CFG) == dos_pushforward_oracle(g, CFG)
+        assert dos_pushforward_oracle(g) == dos_pushforward_oracle(g)
 
     def test_scalar_fallback(self):
         # g is called on Python floats only, so plain-math callables work
-        value = dos_pushforward_oracle(lambda e: math.cos(e), CFG)
-        assert value == pytest.approx(dos_pushforward_oracle(np.cos, CFG),
+        value = dos_pushforward_oracle(lambda e: math.cos(e))
+        assert value == pytest.approx(dos_pushforward_oracle(np.cos),
                                       rel=1e-9)
 
     def test_disagreement_raises(self, monkeypatch):
@@ -201,7 +174,7 @@ class TestPushforwardOracle:
         monkeypatch.setattr(oracles, "adaptive_quad",
                             lambda *args: exact(*args) * (1.0 + 1e-6))
         with pytest.raises(ConvergenceError, match="trapezoid rule disagree"):
-            dos_pushforward_oracle(math.cos, CFG)
+            dos_pushforward_oracle(math.cos)
 
 
 ORACLE_FUNCTIONS = [
@@ -224,14 +197,14 @@ def step(e):
 @pytest.mark.parametrize("name,g,limit", [
     *[(name, g, 1e-3) for name, g in ORACLE_FUNCTIONS], ("step", step, 2e-2)])
 def test_trapezoid_guard(name, g, limit):
-    value = dos_pushforward_oracle(g, CFG)  # the guard passes
+    value = dos_pushforward_oracle(g)  # the guard passes
     trapezoid, bound = oracles._trapezoid_guard(g, value)
     assert abs(value - trapezoid) <= bound < limit
 
 
 @pytest.mark.parametrize("name,g", ORACLE_FUNCTIONS)
 def test_oracle_equivalence(name, g):
-    oracle = dos_pushforward_oracle(g, CFG)
+    oracle = dos_pushforward_oracle(g)
     lhs, _ = quad(lambda e: float(np.asarray(g(e) + g(-e)))
                   * dos_value_elliptic(e),
                   0.0, 4.0, epsabs=1e-11, epsrel=1e-9, limit=300)
@@ -241,10 +214,10 @@ def test_oracle_equivalence(name, g):
 class TestMoments:
     @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
     def test_identity(self, s):
-        assert dos_moment(s, CFG) == pytest.approx(dos_moment_exact(s), rel=1e-8)
+        assert dos_moment(s) == pytest.approx(dos_moment_exact(s), rel=1e-8)
 
     def test_half_mass(self):
-        assert dos_moment(1.0, CFG) == pytest.approx(0.5, abs=1e-10)
+        assert dos_moment(1.0) == pytest.approx(0.5, abs=1e-10)
 
     def test_exact_values(self):
         assert dos_moment_exact(1.0) == pytest.approx(0.5, rel=1e-14)
@@ -280,7 +253,7 @@ class TestMoments:
     @pytest.mark.parametrize("s", [0.0, -2.0])
     def test_domain(self, s):
         with pytest.raises(DomainError):
-            dos_moment(s, CFG)
+            dos_moment(s)
         with pytest.raises(DomainError):
             dos_moment_exact(s)
 
@@ -288,4 +261,4 @@ class TestMoments:
     def test_leaves_double_range(self, s):
         # eps^(s-1) overflows; 1/s^2 overflows to inf; s * s underflows to 0
         with pytest.raises(ConvergenceError, match=f"DOS moment .* s = {s}$"):
-            dos_moment(s, CFG)
+            dos_moment(s)

@@ -9,10 +9,9 @@ from hubbard_gap import (ConvergenceError, DomainError, GapParams,
                          dos_pushforward_oracle, gap_rhs, gap_rhs_sinh,
                          gap_solve, i1_closed, i1_quadrature, i1_small_delta,
                          i2_numeric)
-from hubbard_gap.dos import DEFAULT_CONFIG, _ellipkm1
+from hubbard_gap.dos import _ellipkm1
 from hubbard_gap.renorm import a0_numeric, b1_constant
 
-CFG = DEFAULT_CONFIG
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
 # roots of the gap equation, frozen from the bracketing solve and confirmed
@@ -43,13 +42,13 @@ class TestParams:
 class TestI1:
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 1.0, 4.0])
     def test_closed_form_matches_quadrature(self, delta):
-        assert abs(i1_closed(delta) - i1_quadrature(delta, CFG)) < 1e-10
+        assert abs(i1_closed(delta) - i1_quadrature(delta)) < 1e-10
 
     def test_derivative_consistency(self):
         h = 1e-3
         fd_closed = (i1_closed(0.5 + h) - i1_closed(0.5 - h)) / (2.0 * h)
-        fd_quad = (i1_quadrature(0.5 + h, CFG)
-                   - i1_quadrature(0.5 - h, CFG)) / (2.0 * h)
+        fd_quad = (i1_quadrature(0.5 + h)
+                   - i1_quadrature(0.5 - h)) / (2.0 * h)
         assert fd_closed == pytest.approx(fd_quad, abs=1e-6)
 
     def test_small_delta_form_at_one(self):
@@ -73,7 +72,7 @@ class TestI1:
     def test_large_delta_limit(self):
         # sqrt(Delta^2 + eps^2) ~ Delta flattens the kernel
         expected = 2.0 * (math.log(4.0) + 1.0) / (math.pi ** 2 * 100.0)
-        assert i1_quadrature(100.0, CFG) == pytest.approx(expected, rel=1e-3)
+        assert i1_quadrature(100.0) == pytest.approx(expected, rel=1e-3)
 
     @pytest.mark.parametrize("func", [i1_closed, i1_small_delta])
     def test_domain(self, func):
@@ -91,10 +90,10 @@ class TestI2:
         assert ratio < I2_RATIO_BOUND
 
     def test_decomposition(self):
-        a0 = a0_numeric(CFG)
+        a0 = a0_numeric()
         for delta in (0.01, 0.1, 1.0):
             assembled = a0 + i1_closed(delta) + i2_numeric(delta)
-            assert abs(assembled - gap_rhs_sinh(delta, CFG)) < 1e-8
+            assert abs(assembled - gap_rhs_sinh(delta)) < 1e-8
 
 
 class TestGapRhs:
@@ -105,12 +104,12 @@ class TestGapRhs:
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1, 1.0, 3.9])
     def test_paths_agree(self, delta):
-        assert abs(gap_rhs(delta) - gap_rhs_sinh(delta, CFG)) < 1e-8
+        assert abs(gap_rhs(delta) - gap_rhs_sinh(delta)) < 1e-8
 
     def test_brillouin_zone_path(self):
         delta = 0.5
         raw = dos_pushforward_oracle(
-            lambda e: 1.0 / (2.0 * np.sqrt(delta * delta + e * e)), CFG)
+            lambda e: 1.0 / (2.0 * np.sqrt(delta * delta + e * e)))
         assert raw == pytest.approx(gap_rhs(delta), rel=1e-6)
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.1])
@@ -245,7 +244,7 @@ class TestAsymptotic:
             delta_asymptotic(0.0)
 
     def test_shift_from_numeric_b1_is_negligible(self):
-        b1 = b1_constant(a0_numeric(CFG))
+        b1 = b1_constant(a0_numeric())
         shifted = delta_asymptotic(1.0, b1=b1)
         assert abs(shifted / delta_asymptotic(1.0) - 1.0) < 1e-7
 
@@ -259,6 +258,36 @@ class TestAsymptotic:
         ratios = [c.rel_dev / c.bound_scale for c in comps]
         assert max(ratios) < 21.0
         assert min(ratios) > 1.0
+
+    @pytest.mark.parametrize("u", [1.0, 0.5, 0.3])
+    def test_error_constant_is_the_first_residue(self, u):
+        """rel_dev / bound_scale = 8 pi - 12 sqrt(u) to first order.
+
+        Mellin-Barnes on (Delta^2 + eps^2)^(-1/2) against the DOS moments
+        M(s) = 4^s/(8 pi) (Gamma(s/2)/Gamma(1/2 + s/2))^2 gives the right
+        side as minus the residues at z = 0, 1, 2, ... of
+
+            Gamma(-z)^3 Gamma(1/2 + z) / (8 pi^(3/2) Gamma(1/2 - z)^2)
+            * (Delta/4)^(2z).
+
+        With L = ln(32/Delta), the triple pole at z = 0 gives L^2/(4 pi^2)
+        and no constant (b1 = 0).  At z = 1, where Gamma(-z)^3 =
+        Gamma(1 - w)^3 / (w (1 + w))^3 for z = 1 + w, the rest is
+        Delta^2/(1024 pi^2) at w = 0, the first derivative of its logarithm
+        is 3 - 2L and the second -9 (from psi and psi' at 1, 3/2 and
+        -1/2), so the term is -Delta^2 L (L - 3)/(512 pi^2).  Solving 1/u = rhs about
+        L0 = 2 pi/sqrt(u) lowers L by Delta0^2 (L0 - 3)/256 with
+        Delta0 = 32 e^(-L0), so rel_dev = (8 pi/sqrt(u) - 12)
+        e^(-4 pi/sqrt(u)), and bound_scale is e^(-4 pi/sqrt(u))/sqrt(u).
+        The z = 2 pole adds O(Delta^2) relative: -1.8e-4 at u = 1 and
+        -1.5e-6 at 0.5; -5.1e-7 at 0.3 is already the solver's rounding.
+        At u = 0.2 its 2.5e-13 relative root error dominates rel_dev, so
+        the grid stops at 0.3.  So no right gap meets criterion 04's bound
+        of 10 at u = 1, 0.5 or 0.3.
+        """
+        comp = asymptotic_comparison(u)
+        assert comp.rel_dev / comp.bound_scale == pytest.approx(
+            8.0 * math.pi - 12.0 * math.sqrt(u), rel=5e-4)
 
     def test_frozen_deviations(self):
         comp = asymptotic_comparison(1.0)

@@ -1,4 +1,4 @@
-"""The seven records behave as the frozen dataclasses they replace did.
+"""The six records behave as the frozen dataclasses they replace did.
 
 Each record is checked against a frozen dataclass with the same name,
 fields and defaults, built here: the same ``repr`` text, the same hash,
@@ -15,8 +15,7 @@ import pickle
 import pytest
 
 from hubbard_gap import (AsymptoticComparison, ConstantsReport, DomainError,
-                         GapParams, GapSolution, LaurentFit, QuadratureConfig,
-                         RegularizedLimit)
+                         GapParams, GapSolution, LaurentFit, RegularizedLimit)
 from hubbard_gap.record import set_field
 
 FIT = LaurentFit(0.0506, 0.1405, 0.0070, 1.2e-12)
@@ -25,7 +24,6 @@ RECORDS = [
     (GapParams, (1.0, 1.0)),
     (GapSolution, (0.0597, 3.1e-16, (0.0149, 0.239), 13)),
     (AsymptoticComparison, (1.0, 0.0597, 0.0598, 5e-5, 2.2e-6)),
-    (QuadratureConfig, (1e-8, 1e-12, 50)),
     (LaurentFit, (0.0506, 0.1405, 0.0070, 1.2e-12)),
     (RegularizedLimit, (FIT, FIT, 0.0070134, (0.77, 1.9), (0.0071, 0.0072))),
     (ConstantsReport, (0.0070134, 0.0070134, 1e-15, 0.326, 1.989, 1.764, 0.14,
@@ -35,7 +33,6 @@ RECORDS = [
 #: the defaults each record's constructor must declare, as its dataclass did
 DEFAULTS = {
     GapParams: {"t": 1.0},
-    QuadratureConfig: {"rel_tol": 1e-10, "abs_tol": 1e-13, "max_depth": 200},
     ConstantsReport: {"deviations": None},
 }
 
@@ -111,8 +108,7 @@ class TestRecord:
         lambda make, fields, args: make(*args, **{fields[0]: args[0]}),
     ], ids=["none", "missing", "surplus", "unknown", "twice"])
     def test_arguments_bind_as_in_the_dataclass(self, cls, args, call):
-        # the same TypeError text, or (only where every field has a
-        # default) the same field values
+        # the same TypeError text (no record has a default for every field)
         outcomes = []
         for make in (twin_class(cls), cls):
             try:
@@ -122,7 +118,7 @@ class TestRecord:
             else:
                 outcomes.append([getattr(record, name) for name in cls._fields])
         assert outcomes[0] == outcomes[1]
-        assert isinstance(outcomes[0], str) or cls is QuadratureConfig
+        assert isinstance(outcomes[0], str)
 
     def test_asdict_in_field_order(self, cls, args):
         record = cls(*args)
@@ -163,8 +159,7 @@ BUILDS = {
 @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
 @pytest.mark.parametrize("cls, args, message", [
     (GapParams, (0.0, 1.0), "coupling must be positive"),
-    (QuadratureConfig, (1e-8, 1e-12, 0), r"max_depth must be an integer in \[1, 2147483647\]"),
-], ids=["GapParams", "QuadratureConfig"])
+], ids=["GapParams"])
 def test_check_runs_on_every_construction(cls, args, message, build):
     with pytest.raises(DomainError, match=f"^{message}$"):
         build(cls, args)
@@ -178,7 +173,6 @@ def test_deviations_normalized_on_every_construction(build):
 
 def test_defaults():
     assert GapParams(1.5) == GapParams(1.5, 1.0)
-    assert QuadratureConfig() == QuadratureConfig(1e-10, 1e-13, 200)
     report = ConstantsReport(*RECORDS[-1][1][:-1])
     assert report.deviations == {}
     assert report.deviations is not ConstantsReport(*RECORDS[-1][1][:-1]).deviations
@@ -190,10 +184,6 @@ def test_defaults():
     (GapParams, {"u": 1.0, "t": -1.0}, "hopping must be positive"),
     (GapParams, {"u": float("inf")},
      "coupling must be positive and finite, got u = inf, t = 1.0"),
-    (QuadratureConfig, {"rel_tol": 0.0},
-     "quadrature tolerances must be positive and finite"),
-    (QuadratureConfig, {"max_depth": 2.0},
-     r"max_depth must be an integer in \[1, 2147483647\]"),
 ])
 def test_domain_messages(cls, kwargs, message):
     with pytest.raises(DomainError, match=f"^{message}$"):

@@ -20,11 +20,9 @@ from hubbard_gap import (ConvergenceError, DomainError, FitDegeneracyError,
                          neel_asymptotic, ratio_from_asymptotics,
                          regularized_limit, richardson_extrapolate, sech_log2_integral,
                          sech_log2_integral_direct)
-from hubbard_gap.dos import DEFAULT_CONFIG
 from hubbard_gap.renorm import EULER_GAMMA
 from hubbard_gap.dos import dos_log_subtracted
 
-CFG = DEFAULT_CONFIG
 PI2 = math.pi ** 2
 
 # frozen from a 30-digit tanh-sinh evaluation of the same integral
@@ -42,7 +40,7 @@ class TestA0:
         assert a0_exact() == pytest.approx(0.007013, abs=5e-7)
 
     def test_numeric_agrees_with_exact(self):
-        assert abs(a0_numeric(CFG) - a0_exact()) < 1e-8
+        assert abs(a0_numeric() - a0_exact()) < 1e-8
 
     def test_scaled_combination(self):
         combo = 4.0 * PI2 * a0_exact()
@@ -51,7 +49,7 @@ class TestA0:
         assert combo == pytest.approx(0.27688, abs=1e-5)
 
     def test_integrand_spot_value(self):
-        direct = (dos_value_quadrature(0.5, CFG)
+        direct = (dos_value_quadrature(0.5)
                   - math.log(32.0) / (2.0 * PI2)) / 0.5
         assert dos_log_subtracted(0.5) / 0.5 == pytest.approx(direct, abs=1e-11)
 
@@ -66,7 +64,7 @@ class TestB1:
         assert b1_constant(0.0) == pytest.approx(0.27688, abs=1e-5)
 
     def test_numeric_nullity(self):
-        assert abs(b1_constant(a0_numeric(CFG))) < 4.0 * PI2 * 1e-8
+        assert abs(b1_constant(a0_numeric())) < 4.0 * PI2 * 1e-8
 
 
 class TestJ2:
@@ -83,7 +81,7 @@ class TestJ2:
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 2.0, 5.0])
     def test_quadrature_companion(self, s):
-        assert j2_quadrature(s, CFG) == pytest.approx(j2_closed(s), rel=1e-10)
+        assert j2_quadrature(s) == pytest.approx(j2_closed(s), rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -114,7 +112,7 @@ class TestJ2:
 
 class TestMellinPair:
     def test_unit_order(self):
-        j1, j2 = dos_moment(1.0, CFG), j2_closed(1.0)
+        j1, j2 = dos_moment(1.0), j2_closed(1.0)
         assert j1 == pytest.approx(0.5, abs=1e-10)
         assert j2 == pytest.approx(0.4835643384, abs=1e-9)
         assert j1 - j2 == pytest.approx(0.0164356616, abs=1e-8)
@@ -122,23 +120,23 @@ class TestMellinPair:
     def test_difference_tends_to_a0_linearly(self):
         # intercept of the linear trend in s recovers a0
         grid = [0.2, 0.1, 0.05]
-        diffs = [mellin_difference(s, CFG) for s in grid]
+        diffs = [mellin_difference(s) for s in grid]
         slope = (diffs[0] - diffs[2]) / (grid[0] - grid[2])
         intercept = diffs[2] - slope * grid[2]
         assert intercept == pytest.approx(a0_exact(), abs=5e-4)
 
     def test_difference_near_zero_order(self):
-        assert mellin_difference(0.01, CFG) == pytest.approx(a0_exact(),
+        assert mellin_difference(0.01) == pytest.approx(a0_exact(),
                                                              abs=1e-3)
 
     def test_difference_consistent_with_pair(self):
-        assert mellin_difference(0.1, CFG) == pytest.approx(
-            dos_moment(0.1, CFG) - j2_closed(0.1), abs=1e-6)
+        assert mellin_difference(0.1) == pytest.approx(
+            dos_moment(0.1) - j2_closed(0.1), abs=1e-6)
 
     def test_divergence_cancellation_along_grid(self):
-        scaled_quadratic = [s * s * mellin_difference(s, CFG)
+        scaled_quadratic = [s * s * mellin_difference(s)
                             for s in DEFAULT_GRID]
-        scaled_linear = [s * mellin_difference(s, CFG) for s in DEFAULT_GRID]
+        scaled_linear = [s * mellin_difference(s) for s in DEFAULT_GRID]
         assert abs(scaled_quadratic[-1]) < abs(scaled_quadratic[0])
         assert abs(scaled_linear[-1]) < abs(scaled_linear[0])
         assert abs(scaled_quadratic[-1]) < 1e-5
@@ -148,7 +146,7 @@ class TestMellinPair:
         # eps^(s-1) overflows on [1e-3, 4] at s = 1000
         with pytest.raises(ConvergenceError,
                            match=r"subtracted moment .* s = 1000\.0$"):
-            mellin_difference(1000.0, CFG)
+            mellin_difference(1000.0)
 
 
 class TestLaurentMachinery:
@@ -228,7 +226,7 @@ EXISTING_GRIDS = [DEFAULT_GRID, FINE_GRID, [0.4, 0.2, 0.1, 0.05],
 
 def _existing_fit_problems():
     for grid in EXISTING_GRIDS:
-        limit = regularized_limit(grid, CFG)
+        limit = regularized_limit(grid)
         yield grid, limit.j1_values
         yield grid, limit.difference_values
     yield [0.4, 0.2, 0.1, 0.05], [2.0 / s ** 2 - 3.0 / s + 0.7 + 0.1 * s
@@ -302,11 +300,11 @@ class TestRegularizedLimit:
             4.0 * math.log(2.0) ** 2 / PI2 - 1.0 / 24.0, abs=1e-3)
 
     def test_j1_pole_coefficient_on_coarse_grid(self):
-        result = regularized_limit([0.4, 0.2, 0.1, 0.05], CFG)
+        result = regularized_limit([0.4, 0.2, 0.1, 0.05])
         assert result.j1_fit.c_m2 == pytest.approx(1.0 / (2.0 * PI2), abs=1e-4)
 
     def test_laurent_structure_on_fine_grid(self):
-        result = regularized_limit(FINE_GRID, CFG)
+        result = regularized_limit(FINE_GRID)
         assert result.j1_fit.c_m2 == pytest.approx(1.0 / (2.0 * PI2), abs=1e-6)
         assert result.j1_fit.c_m1 == pytest.approx(2.0 * math.log(2.0) / PI2,
                                                    abs=1e-4)
@@ -319,19 +317,19 @@ class TestRegularizedLimit:
 
     def test_extrapolation_hits_a0(self):
         for grid, tol in ((DEFAULT_GRID, 1e-8), (FINE_GRID, 1e-10)):
-            result = regularized_limit(grid, CFG)
+            result = regularized_limit(grid)
             assert result.difference_extrapolated == pytest.approx(
                 a0_exact(), abs=tol)
 
 
 class TestSechIntegral:
     def test_frozen_value(self):
-        assert sech_log2_integral(CFG) == pytest.approx(SECH_INTEGRAL,
+        assert sech_log2_integral() == pytest.approx(SECH_INTEGRAL,
                                                         rel=1e-12)
 
     def test_parameterizations_agree(self):
-        sub = sech_log2_integral(CFG)
-        direct = sech_log2_integral_direct(CFG)
+        sub = sech_log2_integral()
+        direct = sech_log2_integral_direct()
         assert abs(sub - direct) < 1e-10
 
     def test_tail_negligible(self):
@@ -345,12 +343,12 @@ class TestSechIntegral:
         cross = EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi)
         back_solved = (-4.0 * PI2 * a0_exact() - 0.3260
                        + (2.0 * math.log(2.0)) ** 2 + cross ** 2)
-        assert sech_log2_integral(CFG) == pytest.approx(back_solved, abs=5e-4)
+        assert sech_log2_integral() == pytest.approx(back_solved, abs=5e-4)
 
 
 class TestA1:
     def test_reference_value(self):
-        a1 = a1_constant(a0_exact(), sech_log2_integral(CFG))
+        a1 = a1_constant(a0_exact(), sech_log2_integral())
         assert a1 == pytest.approx(0.3260, abs=5e-4)
 
     def test_zeroed_inputs(self):
@@ -381,7 +379,7 @@ class TestA1:
             for reference in (closed, integral):
                 assert abs(mp.mpf(a1_exact()) - reference) <= half_ulp
         assert a1_exact() == pytest.approx(
-            a1_constant(a0_exact(), sech_log2_integral(CFG)), abs=1e-13)
+            a1_constant(a0_exact(), sech_log2_integral()), abs=1e-13)
 
 
 class TestNeel:
@@ -432,9 +430,9 @@ class TestGapRatio:
         assert value == pytest.approx(1.77303, abs=1e-5)
 
     def test_expansion_consistent_with_asymptotics(self):
-        a0n = a0_numeric(CFG)
+        a0n = a0_numeric()
         b1 = b1_constant(a0n)
-        a1 = a1_constant(a0n, sech_log2_integral(CFG))
+        a1 = a1_constant(a0n, sech_log2_integral())
         scaled = []
         for u in (0.1, 0.04, 0.01):
             two_term = gap_ratio_expansion(u, a1, b1)
@@ -478,7 +476,7 @@ class TestRatioFromAsymptotics:
 
 class TestConstantsReport:
     def test_report_contract(self):
-        report = constants_report(CFG)
+        report = constants_report()
         assert report.a0_exact == a0_exact()
         assert report.deviations["a0_numeric_vs_exact"] < 1e-8
         assert abs(report.b1) < 4e-7
@@ -491,6 +489,6 @@ class TestConstantsReport:
 
     def test_leading_constant_against_independent_digits(self):
         # frozen from 30-digit arithmetic of pi e^(-gamma)
-        report = constants_report(CFG)
+        report = constants_report()
         assert report.gap_ratio_leading == pytest.approx(
             1.76387698886204569, abs=1e-12)

@@ -12,7 +12,9 @@ any of the six commands loads numpy or scipy.
 Nor do they load ``dataclasses`` or ``inspect``: the records are plain
 ``__slots__`` classes.  ``json`` is loaded only by ``--format json``.
 A coupling ratio that overflows ends the bracket search with an error
-instead of growing the bracket forever.
+instead of growing the bracket forever.  The quadrature tolerances are
+named in ``quadrature.py`` alone, and no function takes them as an
+argument.
 """
 
 import ast
@@ -108,6 +110,22 @@ def test_no_module_imports_scipy():
             imported += [f"{path.name}: {name}" for name in names
                          if name.split(".")[0] in ("numpy", "scipy")]
     assert imported == []
+
+
+def test_one_quadrature_policy():
+    policy = {"REL_TOL", "ABS_TOL", "MAX_DEPTH"}
+    package = Path(hubbard_gap.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.arg) and node.arg == "cfg":
+                found.append(f"{path.name}:{node.lineno}: cfg parameter")
+            # a Name, an Attribute, an imported alias or a definition
+            names = {getattr(node, field, None)
+                     for field in ("id", "attr", "name", "asname")}
+            if path.name != "quadrature.py" and names & policy:
+                found.append(f"{path.name}:{node.lineno}: {names & policy}")
+    assert found == []
 
 
 def test_overflowing_coupling_ratio_exits_3():

@@ -5,9 +5,9 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from hubbard_gap import (ConvergenceError, DomainError, QuadratureConfig,
-                         cosine_power_integral, cosine_power_quadrature, dilog,
-                         dilog_inversion_residual, gamma_ratio)
+from hubbard_gap import (ConvergenceError, DomainError, cosine_power_integral,
+                         cosine_power_quadrature, dilog,
+                         dilog_inversion_residual, gamma_ratio, quadrature)
 
 PI2 = math.pi ** 2
 
@@ -154,9 +154,10 @@ class TestCosinePower:
         assert cosine_power_integral(0.5) == pytest.approx(2.62205755429211981, rel=1e-13)
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.0, 4.0])
-    def test_quadrature_matches_closed_form(self, s):
-        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
-        assert cosine_power_quadrature(s, cfg) == pytest.approx(
+    def test_quadrature_matches_closed_form(self, s, monkeypatch):
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-12)
+        monkeypatch.setattr(quadrature, "ABS_TOL", 1e-14)
+        assert cosine_power_quadrature(s) == pytest.approx(
             cosine_power_integral(s), rel=1e-10)
 
     @pytest.mark.parametrize("s", [1e-300, 6.2769e-309])
@@ -192,3 +193,5 @@ class TestCosinePower:
     def test_infinite_order(self):
         with pytest.raises(DomainError, match="needs finite s > 0, got inf"):
             cosine_power_integral(math.inf)
+        with pytest.raises(DomainError, match="needs finite s > 0, got inf"):
+            cosine_power_quadrature(math.inf)
